@@ -22,10 +22,13 @@ echo "==> tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> perf smoke: bench_snapshot -> BENCH_backbones.json"
-# BENCH_SCALE=full adds the million-node substrates (that mode produces the
-# committed BENCH_backbones.json); the default keeps the smoke budget.
-cargo run --release -p backboning_bench --bin bench_snapshot
+echo "==> perf smoke: bench_snapshot -> target/BENCH_backbones.json"
+# The smoke run writes under target/ so it never overwrites the committed
+# full-scale BENCH_backbones.json. BENCH_SCALE=full adds the million-node
+# substrates; that mode, with BENCH_SNAPSHOT_PATH=BENCH_backbones.json,
+# produces the committed file.
+BENCH_SNAPSHOT_PATH="${BENCH_SNAPSHOT_PATH:-target/BENCH_backbones.json}" \
+    cargo run --release -p backboning_bench --bin bench_snapshot
 
 echo "==> large-substrate smoke: 100k-node BA through score -> select (180 s budget)"
 SMOKE_TSV=$(mktemp --suffix .tsv)

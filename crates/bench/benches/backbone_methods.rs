@@ -53,7 +53,10 @@ fn hss_end_to_end(criterion: &mut Criterion) {
     });
     group.bench_function("extract_top_quarter", |bencher| {
         let k = graph.edge_count() / 4;
-        bencher.iter(|| black_box(hss.extract_top_k(black_box(&graph), k)));
+        bencher.iter(|| {
+            let scored = hss.score(black_box(&graph)).expect("HSS scores a BA graph");
+            black_box(graph.subgraph_with_edges(&scored.top_k(&graph, k)))
+        });
     });
     group.finish();
 }

@@ -389,9 +389,10 @@ fn measure_hss_deviation(substrate: &'static str, graph: &WeightedGraph) -> HssD
         .score_sampled_with_threads(graph, roots, seed, 0)
         .expect("sampled HSS scores");
     let max_abs_deviation = exact
+        .scores()
         .iter()
-        .zip(approx.iter())
-        .map(|(a, b)| (a.score - b.score).abs())
+        .zip(approx.scores())
+        .map(|(a, b)| (a - b).abs())
         .fold(0.0, f64::max);
     HssDeviation {
         substrate,

@@ -818,8 +818,12 @@ pub fn execute(config: &CliConfig, out: &mut dyn Write) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
 
     match config.output {
-        OutputKind::Backbone => run.write_backbone(&mut *out).map_err(|e| e.to_string())?,
-        OutputKind::Scores => run.write_scores(&mut *out).map_err(|e| e.to_string())?,
+        OutputKind::Backbone => run
+            .write_backbone(&graph, &mut *out)
+            .map_err(|e| e.to_string())?,
+        OutputKind::Scores => run
+            .write_scores(&graph, &mut *out)
+            .map_err(|e| e.to_string())?,
         OutputKind::Summary => {
             writeln!(out, "{}", run.summary_json()).map_err(|e| e.to_string())?
         }
@@ -839,7 +843,6 @@ fn render_timings_table(ingest: std::time::Duration, stages: &backboning::StageT
         rows.push(("score", ms(score)));
     }
     rows.push(("select", ms(stages.select)));
-    rows.push(("build", ms(stages.build)));
     let total: f64 = rows.iter().map(|(_, v)| v).sum();
     rows.push(("total", total));
     let mut table = String::from("stage         ms\n------  --------\n");
@@ -1081,7 +1084,6 @@ mod tests {
         let stages = backboning::StageTimings {
             score: Some(std::time::Duration::from_micros(1500)),
             select: std::time::Duration::from_micros(250),
-            build: std::time::Duration::from_micros(250),
         };
         let table = render_timings_table(std::time::Duration::from_millis(2), &stages);
         assert_eq!(
@@ -1091,8 +1093,7 @@ mod tests {
              ingest     2.000\n\
              score      1.500\n\
              select     0.250\n\
-             build      0.250\n\
-             total      4.000\n"
+             total      3.750\n"
         );
         // Without a score stage the row disappears instead of reading 0.
         let cached = backboning::StageTimings {
@@ -1101,7 +1102,7 @@ mod tests {
         };
         let table = render_timings_table(std::time::Duration::ZERO, &cached);
         assert!(!table.contains("score"));
-        assert!(table.contains("total      0.500\n"), "{table}");
+        assert!(table.contains("total      0.250\n"), "{table}");
     }
 
     #[test]

@@ -40,7 +40,7 @@ use backboning_graph::{CsrGraph, DeltaGraph, PatchEffect};
 use crate::disparity;
 use crate::error::{BackboneError, BackboneResult};
 use crate::method::Method;
-use crate::scored::{ScoredEdge, ScoredEdges, Symmetrization};
+use crate::scored::{ScoredEdges, Symmetrization};
 
 /// How a method's scores respond to a graph patch — what fraction of the
 /// previous scoring survives.
@@ -100,21 +100,18 @@ pub fn delta_rescore(
     effect: &PatchEffect,
     threads: usize,
 ) -> BackboneResult<ScoredEdges> {
-    let Some(node_local) = delta_applicability(method, graph, previous, effect)? else {
-        return method.score_with_threads(graph, threads);
-    };
-    let edges = carried_edges(graph, previous, effect)?;
-    rescore_carried(method, graph, edges, effect, node_local)
+    match delta_applicability(method, graph, previous, effect)? {
+        Some(node_local) => patch_columns(method, graph, previous.clone(), effect, node_local),
+        None => method.score_with_threads(graph, threads),
+    }
 }
 
 /// The zero-copy form of [`delta_rescore`]: consume the previous scores and
-/// update them in place. For a reweight-only batch (no structural change)
-/// this skips the O(edges) carry-over entirely — the whole cost is the
-/// rescore set, which is what makes a small batch on a large graph
-/// sublinear in practice, not just in rescored-edge count. Structural
-/// batches and non-local methods behave exactly like [`delta_rescore`].
-/// The result is bit-identical to `method.score_with_threads(graph,
-/// threads)` either way.
+/// patch their columns in place. For a reweight-only batch (no structural
+/// change) nothing is carried over at all — the whole cost is the rescore
+/// set, which is what makes a small batch on a large graph sublinear in
+/// practice, not just in rescored-edge count. The result is bit-identical to
+/// `method.score_with_threads(graph, threads)` either way.
 pub fn delta_rescore_in_place(
     method: Method,
     graph: &CsrGraph,
@@ -122,15 +119,10 @@ pub fn delta_rescore_in_place(
     effect: &PatchEffect,
     threads: usize,
 ) -> BackboneResult<ScoredEdges> {
-    let Some(node_local) = delta_applicability(method, graph, &previous, effect)? else {
-        return method.score_with_threads(graph, threads);
-    };
-    let edges = if effect.structure_changed {
-        carried_edges(graph, &previous, effect)?
-    } else {
-        previous.into_edges()
-    };
-    rescore_carried(method, graph, edges, effect, node_local)
+    match delta_applicability(method, graph, &previous, effect)? {
+        Some(node_local) => patch_columns(method, graph, previous, effect, node_local),
+        None => method.score_with_threads(graph, threads),
+    }
 }
 
 /// Shared validation and strategy dispatch: `Ok(Some(node_local))` when the
@@ -165,65 +157,43 @@ fn delta_applicability(
     })
 }
 
-/// Carry surviving scores over, re-indexed through the (monotone) remap, so
-/// position k always holds edge id k.
-fn carried_edges(
-    graph: &CsrGraph,
-    previous: &ScoredEdges,
-    effect: &PatchEffect,
-) -> BackboneResult<Vec<ScoredEdge>> {
-    let mut edges: Vec<ScoredEdge> = Vec::with_capacity(graph.edge_count());
-    match &effect.remap {
-        Some(remap) => {
-            for (old_id, edge) in previous.iter().enumerate() {
-                if let Some(new_id) = remap[old_id] {
-                    let mut edge = *edge;
-                    edge.edge_index = new_id as usize;
-                    debug_assert_eq!(edge.edge_index, edges.len());
-                    edges.push(edge);
-                }
-            }
-        }
-        None => edges.extend(previous.iter().copied()),
-    }
-    // Placeholders for added edges (every appended id is in changed_edges
-    // and gets rescored below).
-    for id in edges.len()..graph.edge_count() {
-        let edge = graph
-            .edge(id)
-            .ok_or_else(|| invalid(format!("patched graph has no edge {id}")))?;
-        edges.push(ScoredEdge {
-            edge_index: id,
-            source: edge.source,
-            target: edge.target,
-            weight: edge.weight,
-            score: 0.0,
-            raw_score: None,
-            std_dev: None,
-            p_value: None,
-        });
-    }
-    Ok(edges)
-}
-
-/// Rescore the touched subset of an already-carried edge vector. Every
-/// changed edge (and, for node-local methods, every edge incident to a
-/// touched node) is recomputed from the patched graph, so stale weights in
-/// `edges` at those positions are overwritten wholesale.
-fn rescore_carried(
+/// Patch the previous score columns into the patched graph's: carry the
+/// surviving rows over, re-indexed through the (monotone) remap so position
+/// k always holds edge id k, pad the added edges, then rescore the touched
+/// subset. Every changed edge (and, for node-local methods, every edge
+/// incident to a touched node) is recomputed from the patched graph, so the
+/// padding and any stale rows at those positions are overwritten.
+fn patch_columns(
     method: Method,
     graph: &CsrGraph,
-    mut edges: Vec<ScoredEdge>,
+    mut scored: ScoredEdges,
     effect: &PatchEffect,
     node_local: bool,
 ) -> BackboneResult<ScoredEdges> {
-    if edges.len() != graph.edge_count() {
+    if let Some(remap) = &effect.remap {
+        for column in scored.columns_mut() {
+            let mut kept = 0;
+            for old_id in 0..column.len() {
+                if let Some(new_id) = remap[old_id] {
+                    debug_assert_eq!(new_id as usize, kept);
+                    column[kept] = column[old_id];
+                    kept += 1;
+                }
+            }
+            column.truncate(kept);
+        }
+    }
+    if scored.len() > graph.edge_count() {
         return Err(invalid(format!(
             "patch effect yields {} edges but the graph has {}",
-            edges.len(),
+            scored.len(),
             graph.edge_count()
         )));
     }
+    for column in scored.columns_mut() {
+        column.resize(graph.edge_count(), 0.0);
+    }
+    scored.node_count = graph.node_count();
 
     // The rescore set: changed edges, plus — for node-local methods — every
     // edge incident to a touched node (their strengths changed).
@@ -253,60 +223,26 @@ fn rescore_carried(
 
     for &id in &rescore {
         let edge = graph.edge(id).expect("rescore id in range");
-        edges[id] = match method {
-            Method::NaiveThreshold => ScoredEdge {
-                edge_index: id,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: edge.weight,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            },
-            Method::DisparityFilter => disparity::score_edge(
-                Symmetrization::Max,
-                id,
-                edge.source,
-                edge.target,
-                edge.weight,
-                strengths[&edge.source],
-                graph.out_degree(edge.source),
-                strengths[&edge.target],
-                graph.in_degree(edge.target),
-            ),
+        match method {
+            Method::NaiveThreshold => scored.scores[id] = edge.weight,
+            Method::DisparityFilter => {
+                let score = disparity::score_edge(
+                    Symmetrization::Max,
+                    edge.weight,
+                    strengths[&edge.source],
+                    graph.out_degree(edge.source),
+                    strengths[&edge.target],
+                    graph.in_degree(edge.target),
+                );
+                scored.scores[id] = score;
+                if let Some(p_values) = scored.p_values.as_mut() {
+                    p_values[id] = 1.0 - score;
+                }
+            }
             _ => unreachable!("only edge- and node-local methods reach here"),
-        };
+        }
     }
-
-    Ok(ScoredEdges::new(
-        method.score_name(),
-        graph.node_count(),
-        edges,
-    ))
-}
-
-/// Convenience wrapper: rescore every method in `methods` against the
-/// patched graph, chaining from the matching entry of `previous` (keyed by
-/// [`Method::score_name`]); methods without a previous entry are scored
-/// from scratch. Used by the CLI's offline parity runs.
-pub fn delta_rescore_all(
-    methods: &[Method],
-    graph: &CsrGraph,
-    previous: &HashMap<&'static str, ScoredEdges>,
-    effect: &PatchEffect,
-    threads: usize,
-) -> BackboneResult<Vec<(Method, ScoredEdges)>> {
-    methods
-        .iter()
-        .map(|&method| {
-            let scored = match previous.get(method.score_name()) {
-                Some(prior) => delta_rescore(method, graph, prior, effect, threads)?,
-                None => method.score_with_threads(graph, threads)?,
-            };
-            Ok((method, scored))
-        })
-        .collect()
+    Ok(scored)
 }
 
 /// Apply a parsed delta batch to a compact graph and return the patched
@@ -463,9 +399,9 @@ mod tests {
             Method::NoiseCorrected,
         ];
         let mut graph = base();
-        let mut scores: HashMap<&'static str, ScoredEdges> = methods
+        let mut scores: Vec<ScoredEdges> = methods
             .iter()
-            .map(|&m| (m.score_name(), m.score_with_threads(&graph, 1).unwrap()))
+            .map(|m| m.score_with_threads(&graph, 1).unwrap())
             .collect();
         for text in [
             "add c e 2\nreweight a c 1.5\n",
@@ -474,15 +410,11 @@ mod tests {
         ] {
             let batch = DeltaBatch::parse_tsv(text).unwrap();
             let (patched, effect) = apply_batch(&graph, &batch).unwrap();
-            let rescored = delta_rescore_all(&methods, &patched, &scores, &effect, 1).unwrap();
-            for (method, scored) in &rescored {
+            for (&method, scored) in methods.iter().zip(&mut scores) {
+                *scored = delta_rescore(method, &patched, scored, &effect, 1).unwrap();
                 let fresh = method.score_with_threads(&patched, 1).unwrap();
-                assert_eq!(scored, &fresh, "{method} after {text:?}");
+                assert_eq!(*scored, fresh, "{method} after {text:?}");
             }
-            scores = rescored
-                .into_iter()
-                .map(|(m, s)| (m.score_name(), s))
-                .collect();
             graph = patched;
         }
     }

@@ -25,7 +25,7 @@ use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
 use backboning_parallel::{clamped_threads, par_map};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges, Symmetrization};
+use crate::scored::{BackboneExtractor, ScoredEdges, Symmetrization};
 use crate::totals::NetworkTotals;
 
 /// The Disparity Filter backbone extractor.
@@ -85,15 +85,12 @@ impl DisparityFilter {
         let in_degree: Vec<usize> = graph.nodes().map(|n| graph.in_degree(n)).collect();
 
         let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
+        let scores = par_map(
             &edges,
             clamped_threads(threads, edges.len(), 2048),
             |_, edge| {
                 score_edge(
                     self.symmetrization,
-                    edge.index,
-                    edge.source,
-                    edge.target,
                     edge.weight,
                     totals.out_strength[edge.source],
                     out_degree[edge.source],
@@ -102,30 +99,26 @@ impl DisparityFilter {
                 )
             },
         );
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        let p_values = scores.iter().map(|score| 1.0 - score).collect();
+        Ok(
+            ScoredEdges::new(BackboneExtractor::name(self), graph.node_count(), scores)
+                .with_p_values(p_values),
+        )
     }
 }
 
 /// The Disparity Filter score of one edge from its endpoint strengths and
 /// degrees — the single source of truth shared by the batch scorer above and
 /// the incremental rescoring path in [`crate::delta`], so both produce
-/// bit-identical results.
-#[allow(clippy::too_many_arguments)]
+/// bit-identical results. The edge's p-value is `1 − score`.
 pub(crate) fn score_edge(
     symmetrization: Symmetrization,
-    edge_index: usize,
-    source: usize,
-    target: usize,
     weight: f64,
     source_strength: f64,
     source_degree: usize,
     target_strength: f64,
     target_degree: usize,
-) -> ScoredEdge {
+) -> f64 {
     // Emitter perspective: the edge as a share of the source's outgoing weight.
     let source_alpha = if source_strength > 0.0 {
         DisparityFilter::alpha(weight / source_strength, source_degree)
@@ -141,19 +134,7 @@ pub(crate) fn score_edge(
 
     // Combine the two perspectives on the *score* scale (1 − α), so that
     // Max keeps the most significant perspective.
-    let score = symmetrization.combine(1.0 - source_alpha, 1.0 - target_alpha);
-    let p_value = 1.0 - score;
-
-    ScoredEdge {
-        edge_index,
-        source,
-        target,
-        weight,
-        score,
-        raw_score: None,
-        std_dev: None,
-        p_value: Some(p_value),
-    }
+    symmetrization.combine(1.0 - source_alpha, 1.0 - target_alpha)
 }
 
 impl BackboneExtractor for DisparityFilter {
@@ -209,16 +190,17 @@ mod tests {
             .build()
             .unwrap();
         let scored = DisparityFilter::new().score(&graph).unwrap();
-        let dominant = scored.get(graph.edge_index(0, 1).unwrap()).unwrap();
-        let tiny = scored.get(graph.edge_index(0, 2).unwrap()).unwrap();
+        let dominant = scored.get(&graph, graph.edge_index(0, 1).unwrap()).unwrap();
+        let tiny = scored.get(&graph, graph.edge_index(0, 2).unwrap()).unwrap();
         assert!(dominant.score > tiny.score);
         assert!(dominant.p_value.unwrap() < tiny.p_value.unwrap());
     }
 
     #[test]
     fn p_values_are_probabilities() {
-        let scored = DisparityFilter::new().score(&figure3_toy()).unwrap();
-        for edge in scored.iter() {
+        let graph = figure3_toy();
+        let scored = DisparityFilter::new().score(&graph).unwrap();
+        for edge in scored.rows(&graph) {
             let p = edge.p_value.unwrap();
             assert!((0.0..=1.0).contains(&p), "p-value {p} out of range");
             assert!((edge.score - (1.0 - p)).abs() < 1e-12);
@@ -243,9 +225,13 @@ mod tests {
 
         // Disparity Filter: the hub spoke is at least as significant as the
         // peripheral edge (it survives).
-        assert!(df.get(hub_to_pair).unwrap().score >= df.get(peripheral).unwrap().score);
+        assert!(
+            df.get(&graph, hub_to_pair).unwrap().score >= df.get(&graph, peripheral).unwrap().score
+        );
         // Noise-Corrected: the ordering flips.
-        assert!(nc.get(hub_to_pair).unwrap().score < nc.get(peripheral).unwrap().score);
+        assert!(
+            nc.get(&graph, hub_to_pair).unwrap().score < nc.get(&graph, peripheral).unwrap().score
+        );
     }
 
     #[test]
@@ -266,7 +252,7 @@ mod tests {
             .unwrap();
         let edge = graph.edge_index(0, 3).unwrap();
         // Requiring significance from both perspectives can only lower the score.
-        assert!(both.get(edge).unwrap().score <= either.get(edge).unwrap().score);
+        assert!(both.scores()[edge] <= either.scores()[edge]);
     }
 
     #[test]
@@ -280,7 +266,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = DisparityFilter::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             // α = (1 − 1/4)³ ≈ 0.42 from the hub side, 1.0 from the leaves.
             assert!(edge.p_value.unwrap() > 0.4);
         }

@@ -23,7 +23,7 @@ use backboning_graph::{EdgeRef, GraphView, WeightedGraph};
 use backboning_parallel::{clamped_threads, par_map};
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The Doubly-Stochastic backbone extractor.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,24 +94,10 @@ impl DoublyStochastic {
         graph: &G,
         threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let weights = self.normalised_weights(graph, threads)?;
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: weights[edge.index],
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
         Ok(ScoredEdges::new(
             BackboneExtractor::name(self),
             graph.node_count(),
-            scored,
+            self.normalised_weights(graph, threads)?,
         ))
     }
 
@@ -157,11 +143,6 @@ impl DoublyStochastic {
         selected.sort_unstable();
         selected
     }
-
-    /// Convenience: build the parameter-free backbone graph.
-    pub fn extract_fixed<G: GraphView>(&self, graph: &G) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.fixed_edge_set(graph)?)?)
-    }
 }
 
 impl BackboneExtractor for DoublyStochastic {
@@ -199,9 +180,9 @@ mod tests {
     fn normalised_scores_are_positive_and_bounded() {
         let graph = dense_directed(6);
         let scored = DoublyStochastic::new().score(&graph).unwrap();
-        for edge in scored.iter() {
-            assert!(edge.score > 0.0);
-            assert!(edge.score <= 1.0);
+        for &score in scored.scores() {
+            assert!(score > 0.0);
+            assert!(score <= 1.0);
         }
     }
 
@@ -227,16 +208,18 @@ mod tests {
         graph.add_edge(3, 2, 1.0).unwrap();
 
         let scored = DoublyStochastic::new().score(&graph).unwrap();
-        let weak_nodes_edge = scored.get(graph.edge_index(3, 0).unwrap()).unwrap();
-        let strong_nodes_edge = scored.get(graph.edge_index(0, 1).unwrap()).unwrap();
-        assert!(weak_nodes_edge.score > strong_nodes_edge.score * 0.5);
+        let weak_nodes_edge = scored.scores()[graph.edge_index(3, 0).unwrap()];
+        let strong_nodes_edge = scored.scores()[graph.edge_index(0, 1).unwrap()];
+        assert!(weak_nodes_edge > strong_nodes_edge * 0.5);
     }
 
     #[test]
     fn fixed_edge_set_connects_all_non_isolated_nodes() {
         let graph = dense_directed(8);
         let ds = DoublyStochastic::new();
-        let backbone = ds.extract_fixed(&graph).unwrap();
+        let backbone = graph
+            .subgraph_with_edges(&ds.fixed_edge_set(&graph).unwrap())
+            .unwrap();
         assert_eq!(backbone.node_count(), graph.node_count());
         assert!(is_connected(&backbone));
         assert!(backbone.edge_count() < graph.edge_count());
@@ -279,7 +262,9 @@ mod tests {
         let ds = DoublyStochastic::new();
         let scored = ds.score(&graph).unwrap();
         assert_eq!(scored.len(), graph.edge_count());
-        let backbone = ds.extract_fixed(&graph).unwrap();
+        let backbone = graph
+            .subgraph_with_edges(&ds.fixed_edge_set(&graph).unwrap())
+            .unwrap();
         assert!(is_connected(&backbone));
     }
 

@@ -54,7 +54,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// Extractor name stamped on sampled-root salience scores (distinct from the
 /// exact skeleton's, so cached exact scores are never mistaken for estimates).
@@ -308,26 +308,14 @@ impl HighSalienceSkeleton {
         denominator: usize,
         score_name: &'static str,
     ) -> ScoredEdges {
-        let node_count = graph.node_count();
-        let mut scored = Vec::with_capacity(graph.edge_count());
-        for edge in graph.edges() {
-            let salience = if denominator > 0 {
-                tree_membership[edge.index] as f64 / denominator as f64
-            } else {
-                0.0
-            };
-            scored.push(ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: salience,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            });
-        }
-        ScoredEdges::new(score_name, node_count, scored)
+        // No roots means no tree memberships: every count is 0 and so is
+        // every salience.
+        let denominator = denominator.max(1) as f64;
+        let scores = tree_membership[..graph.edge_count()]
+            .iter()
+            .map(|&count| count as f64 / denominator)
+            .collect();
+        ScoredEdges::new(score_name, graph.node_count(), scores)
     }
 }
 
@@ -356,7 +344,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!((0.0..=1.0).contains(&edge.score));
         }
     }
@@ -371,7 +359,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!((edge.score - 1.0).abs() < 1e-12);
         }
     }
@@ -387,8 +375,8 @@ mod tests {
             .build()
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
-        let shortcut = scored.get(graph.edge_index(0, 2).unwrap()).unwrap();
-        let trunk = scored.get(graph.edge_index(0, 1).unwrap()).unwrap();
+        let shortcut = scored.get(&graph, graph.edge_index(0, 2).unwrap()).unwrap();
+        let trunk = scored.get(&graph, graph.edge_index(0, 1).unwrap()).unwrap();
         assert_eq!(shortcut.score, 0.0);
         assert!((trunk.score - 1.0).abs() < 1e-12);
     }
@@ -403,7 +391,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!((edge.score - 1.0).abs() < 1e-12);
         }
     }
@@ -423,10 +411,10 @@ mod tests {
             .build()
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
-        let bridge = scored.get(graph.edge_index(2, 3).unwrap()).unwrap();
+        let bridge = scored.get(&graph, graph.edge_index(2, 3).unwrap()).unwrap();
         assert!((bridge.score - 1.0).abs() < 1e-12);
         // Every intra-triangle edge has strictly smaller salience than the bridge.
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             if edge.edge_index != bridge.edge_index {
                 assert!(edge.score < 1.0);
             }
@@ -441,7 +429,7 @@ mod tests {
         graph.add_edge(2, 0, 5.0).unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
         // Each edge lies on the unique directed path from two of the three roots.
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!(edge.score > 0.0);
             assert!(edge.score <= 1.0);
         }
@@ -461,8 +449,8 @@ mod tests {
             .unwrap();
         let shortcut = graph.edge_index(0, 2).unwrap();
         assert_eq!(
-            inverse.get(shortcut).unwrap().score,
-            neg_log.get(shortcut).unwrap().score
+            inverse.get(&graph, shortcut).unwrap().score,
+            neg_log.get(&graph, shortcut).unwrap().score
         );
     }
 
@@ -482,7 +470,7 @@ mod tests {
             .unwrap();
         let scored = HighSalienceSkeleton::new().score(&graph).unwrap();
         // Each edge appears in the trees of its own component's two nodes only.
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!((edge.score - 0.5).abs() < 1e-12);
         }
     }
@@ -526,7 +514,7 @@ mod tests {
             .score_sampled_with_threads(&graph, graph.node_count(), 99, 1)
             .unwrap();
         assert_eq!(sampled.method(), HSS_APPROX_SCORE_NAME);
-        for (a, b) in exact.iter().zip(sampled.iter()) {
+        for (a, b) in exact.rows(&graph).zip(sampled.rows(&graph)) {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
     }
@@ -540,7 +528,7 @@ mod tests {
             let other = hss
                 .score_sampled_with_threads(&graph, 3, 11, threads)
                 .unwrap();
-            for (a, b) in baseline.iter().zip(other.iter()) {
+            for (a, b) in baseline.rows(&graph).zip(other.rows(&graph)) {
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         }
@@ -554,7 +542,9 @@ mod tests {
         let sampled = HighSalienceSkeleton::new()
             .score_sampled_with_threads(&graph, 3, 5, 1)
             .unwrap();
-        let bridge = sampled.get(graph.edge_index(2, 3).unwrap()).unwrap();
+        let bridge = sampled
+            .get(&graph, graph.edge_index(2, 3).unwrap())
+            .unwrap();
         assert_eq!(bridge.score, 1.0);
     }
 

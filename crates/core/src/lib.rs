@@ -40,15 +40,16 @@
 //! let scored = NoiseCorrected::default().score(&graph).unwrap();
 //! // Keep edges at least 1.64 standard deviations above the null expectation
 //! // (roughly a one-tailed p-value of 0.05).
-//! let backbone = scored.backbone(&graph, 1.64).unwrap();
+//! let kept = scored.filter(1.64);
+//! let backbone = graph.subgraph_with_edges(&kept).unwrap();
 //! assert!(backbone.edge_count() <= graph.edge_count());
 //! ```
 //!
-//! The scored-edge representation ([`ScoredEdges`]) supports thresholding by
-//! the method's natural significance parameter, selecting the top-`k` edges,
-//! or selecting a fixed share of edges — the latter two are what the paper's
-//! evaluation sweeps (coverage, quality, stability) use to compare methods at
-//! equal backbone sizes.
+//! The scored-edge representation ([`ScoredEdges`], score columns indexed by
+//! edge id) supports thresholding by the method's natural significance
+//! parameter, selecting the top-`k` edges, or selecting a fixed share of
+//! edges — the latter two are what the paper's evaluation sweeps (coverage,
+//! quality, stability) use to compare methods at equal backbone sizes.
 //!
 //! # The pipeline
 //!
@@ -69,8 +70,11 @@
 //! let run = Pipeline::new(Method::NoiseCorrected, ThresholdPolicy::TopK(3))
 //!     .run(&graph)
 //!     .unwrap();
-//! assert_eq!(run.backbone.edge_count(), 3);
+//! assert_eq!(run.kept.len(), 3);
 //! assert!(run.coverage > 0.0 && run.coverage <= 1.0);
+//! // The backbone is a view: the writers walk the kept edges of `graph`.
+//! let mut tsv = Vec::new();
+//! run.write_backbone(&graph, &mut tsv).unwrap();
 //! ```
 
 #![forbid(unsafe_code)]
@@ -90,9 +94,7 @@ pub mod scored;
 pub mod spanning_tree;
 mod totals;
 
-pub use delta::{
-    apply_batch, delta_rescore, delta_rescore_all, delta_rescore_in_place, DeltaStrategy,
-};
+pub use delta::{apply_batch, delta_rescore, delta_rescore_in_place, DeltaStrategy};
 pub use disparity::DisparityFilter;
 pub use doubly_stochastic::DoublyStochastic;
 pub use error::{BackboneError, BackboneResult};

@@ -19,7 +19,7 @@
 //! assert_eq!(scored.len(), graph.edge_count());
 //! ```
 
-use backboning_graph::{GraphView, WeightedGraph};
+use backboning_graph::GraphView;
 
 use crate::disparity::DisparityFilter;
 use crate::doubly_stochastic::DoublyStochastic;
@@ -283,24 +283,12 @@ impl Method {
     /// The method's fixed backbone edge set, for the parameter-free methods
     /// (MST: the spanning forest; DS: edges added by decreasing
     /// doubly-stochastic weight until the non-isolated nodes are connected),
-    /// in ascending edge-index order.
+    /// derived from an already-computed score set so the expensive scoring
+    /// pass (DS: the Sinkhorn normalisation; MST: Kruskal) does not run a
+    /// second time. The scores fully determine the fixed set: MST scores mark
+    /// the forest edges with 1, DS scores are the doubly-stochastic weights.
     ///
     /// Returns `None` for tunable methods.
-    pub fn fixed_edge_set<G: GraphView>(&self, graph: &G) -> Option<BackboneResult<Vec<usize>>> {
-        if !self.is_parameter_free() {
-            return None;
-        }
-        Some(self.score_with_threads(graph, 0).map(|scored| {
-            self.fixed_edge_set_from_scores(graph, &scored)
-                .expect("parameter-free methods have a fixed edge set")
-        }))
-    }
-
-    /// [`Method::fixed_edge_set`], reusing an already-computed score set so
-    /// the expensive scoring pass (DS: the Sinkhorn normalisation; MST:
-    /// Kruskal) does not run a second time. The scores fully determine the
-    /// fixed set: MST scores mark the forest edges with 1, DS scores are the
-    /// doubly-stochastic weights.
     pub fn fixed_edge_set_from_scores<G: GraphView>(
         &self,
         graph: &G,
@@ -340,15 +328,6 @@ impl Method {
         Pipeline::new(*self, ThresholdPolicy::TopK(target_edges))
             .with_threads(threads)
             .edge_set(graph)
-    }
-
-    /// The method's backbone graph at a target edge count (see [`Method::edge_set`]).
-    pub fn backbone<G: GraphView>(
-        &self,
-        graph: &G,
-        target_edges: usize,
-    ) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.edge_set(graph, target_edges)?)?)
     }
 }
 
@@ -404,8 +383,8 @@ mod tests {
         assert_eq!(scored.len(), graph.edge_count());
         assert_eq!(scored.method(), method.score_name());
         let again = method.score(&graph).unwrap();
-        for (a, b) in scored.iter().zip(again.iter()) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        for (a, b) in scored.scores().iter().zip(again.scores()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -464,7 +443,8 @@ mod tests {
     fn backbone_preserves_node_count() {
         let graph = complete_graph(8, 1.0).unwrap();
         for method in Method::every() {
-            let backbone = method.backbone(&graph, 10).unwrap();
+            let edges = method.edge_set(&graph, 10).unwrap();
+            let backbone = graph.subgraph_with_edges(&edges).unwrap();
             assert_eq!(backbone.node_count(), 8, "{}", method.short_name());
         }
     }

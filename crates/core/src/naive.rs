@@ -10,7 +10,7 @@
 use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The naive-threshold backbone extractor: the score of an edge is its raw weight.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -30,23 +30,11 @@ impl NaiveThreshold {
         graph: &G,
         _threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: edge.weight,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
+        let scores = graph.edges().map(|edge| edge.weight).collect();
         Ok(ScoredEdges::new(
             BackboneExtractor::name(self),
             graph.node_count(),
-            scored,
+            scores,
         ))
     }
 }
@@ -74,7 +62,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = NaiveThreshold::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert_eq!(edge.score, edge.weight);
         }
     }
@@ -87,7 +75,8 @@ mod tests {
             .indexed_edge(2, 3, 5.0)
             .build()
             .unwrap();
-        let backbone = NaiveThreshold::new().extract(&graph, 4.0).unwrap();
+        let scored = NaiveThreshold::new().score(&graph).unwrap();
+        let backbone = graph.subgraph_with_edges(&scored.filter(4.0)).unwrap();
         assert_eq!(backbone.edge_count(), 2);
         assert!(backbone.has_edge(0, 1));
         assert!(backbone.has_edge(2, 3));
@@ -106,7 +95,8 @@ mod tests {
             .indexed_edge(1, 3, 2.0)
             .build()
             .unwrap();
-        let backbone = NaiveThreshold::new().extract(&graph, 50.0).unwrap();
+        let scored = NaiveThreshold::new().score(&graph).unwrap();
+        let backbone = graph.subgraph_with_edges(&scored.filter(50.0)).unwrap();
         assert!(backbone.isolates().contains(&3));
     }
 
@@ -119,7 +109,7 @@ mod tests {
             .build()
             .unwrap();
         let scored = NaiveThreshold::new().score(&graph).unwrap();
-        assert_eq!(scored.top_k(1), vec![2]);
+        assert_eq!(scored.top_k(&graph, 1), vec![2]);
     }
 
     #[test]

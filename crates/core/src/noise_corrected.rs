@@ -34,7 +34,7 @@ use backboning_stats::distributions::{Binomial, ContinuousDistribution};
 use backboning_stats::BetaBinomialModel;
 
 use crate::error::{BackboneError, BackboneResult};
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 use crate::totals::NetworkTotals;
 
 /// The Noise-Corrected backbone extractor.
@@ -121,7 +121,7 @@ impl NoiseCorrected {
     ) -> BackboneResult<ScoredEdges> {
         let totals = NetworkTotals::compute(graph);
         let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
+        let rows = par_map(
             &edges,
             clamped_threads(threads, edges.len(), 2048),
             |_, edge| {
@@ -141,23 +141,15 @@ impl NoiseCorrected {
                 } else {
                     0.0
                 };
-                ScoredEdge {
-                    edge_index: edge.index,
-                    source: edge.source,
-                    target: edge.target,
-                    weight: edge.weight,
-                    score,
-                    raw_score: Some(transformed_lift),
-                    std_dev: Some(std_dev),
-                    p_value: None,
-                }
+                (score, transformed_lift, std_dev)
             },
         );
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        let column = |pick: fn(&(f64, f64, f64)) -> f64| rows.iter().map(pick).collect();
+        let (scores, raw_scores, std_devs) = (column(|r| r.0), column(|r| r.1), column(|r| r.2));
+        Ok(
+            ScoredEdges::new(BackboneExtractor::name(self), graph.node_count(), scores)
+                .with_lift(raw_scores, std_devs),
+        )
     }
 }
 
@@ -210,13 +202,13 @@ impl NoiseCorrectedBinomial {
         }
         let trials = totals.total.round().max(0.0) as u64;
         let edges: Vec<EdgeRef> = graph.edges().collect();
-        let scored = par_map(
+        let p_values = par_map(
             &edges,
             clamped_threads(threads, edges.len(), 2048),
             |_, edge| {
                 let out_strength = totals.out_strength[edge.source];
                 let in_strength = totals.in_strength[edge.target];
-                let p_value = if out_strength <= 0.0 || in_strength <= 0.0 || trials == 0 {
+                if out_strength <= 0.0 || in_strength <= 0.0 || trials == 0 {
                     Ok(1.0)
                 } else {
                     let success_probability = (out_strength * in_strength
@@ -226,26 +218,16 @@ impl NoiseCorrectedBinomial {
                     Binomial::new(trials, success_probability)
                         .map_err(BackboneError::from)
                         .map(|binomial| binomial.upper_tail(observed))
-                };
-                p_value.map(|p_value| ScoredEdge {
-                    edge_index: edge.index,
-                    source: edge.source,
-                    target: edge.target,
-                    weight: edge.weight,
-                    score: 1.0 - p_value,
-                    raw_score: None,
-                    std_dev: None,
-                    p_value: Some(p_value),
-                })
+                }
             },
         )
         .into_iter()
-        .collect::<Result<Vec<_>, _>>()?;
-        Ok(ScoredEdges::new(
-            BackboneExtractor::name(self),
-            graph.node_count(),
-            scored,
-        ))
+        .collect::<Result<Vec<f64>, _>>()?;
+        let scores = p_values.iter().map(|p_value| 1.0 - p_value).collect();
+        Ok(
+            ScoredEdges::new(BackboneExtractor::name(self), graph.node_count(), scores)
+                .with_p_values(p_values),
+        )
     }
 }
 
@@ -283,7 +265,7 @@ mod tests {
         let nc = NoiseCorrected::default();
         let graph = figure3_toy();
         let scored = nc.score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             let lift = edge.raw_score.unwrap();
             assert!(lift > -1.0 && lift < 1.0, "lift {lift} out of (-1, 1)");
             assert!(edge.std_dev.unwrap() >= 0.0);
@@ -305,10 +287,10 @@ mod tests {
         let scored = nc.score(&graph).unwrap();
 
         let peripheral_index = graph.edge_index(1, 2).unwrap();
-        let peripheral = scored.get(peripheral_index).unwrap();
+        let peripheral = scored.get(&graph, peripheral_index).unwrap();
         for hub_target in [1usize, 2usize] {
             let hub_index = graph.edge_index(0, hub_target).unwrap();
-            let hub_edge = scored.get(hub_index).unwrap();
+            let hub_edge = scored.get(&graph, hub_index).unwrap();
             assert!(
                 peripheral.raw_score.unwrap() > hub_edge.raw_score.unwrap(),
                 "peripheral lift {} should exceed hub lift {}",
@@ -333,7 +315,7 @@ mod tests {
             }
         }
         let scored = NoiseCorrected::default().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             assert!(edge.raw_score.unwrap().abs() < 0.1);
         }
     }
@@ -343,8 +325,8 @@ mod tests {
         let graph = figure3_toy();
         let scored = NoiseCorrected::default().score(&graph).unwrap();
         // Both hub edges 0-1 and 0-2 have identical structure → identical scores.
-        let a = scored.get(graph.edge_index(0, 1).unwrap()).unwrap();
-        let b = scored.get(graph.edge_index(0, 2).unwrap()).unwrap();
+        let a = scored.get(&graph, graph.edge_index(0, 1).unwrap()).unwrap();
+        let b = scored.get(&graph, graph.edge_index(0, 2).unwrap()).unwrap();
         assert!((a.score - b.score).abs() < 1e-12);
     }
 
@@ -358,8 +340,8 @@ mod tests {
         graph.add_edge(3, 1, 100.0).unwrap();
         graph.add_edge(3, 2, 1.0).unwrap();
         let scored = NoiseCorrected::default().score(&graph).unwrap();
-        let strong_to_popular = scored.get(graph.edge_index(0, 1).unwrap()).unwrap();
-        let moderate_to_unpopular = scored.get(graph.edge_index(0, 2).unwrap()).unwrap();
+        let strong_to_popular = scored.get(&graph, graph.edge_index(0, 1).unwrap()).unwrap();
+        let moderate_to_unpopular = scored.get(&graph, graph.edge_index(0, 2).unwrap()).unwrap();
         // 10 units towards an unpopular receiver is more surprising than 100
         // units towards the receiver that gets almost everything.
         assert!(moderate_to_unpopular.raw_score.unwrap() > strong_to_popular.raw_score.unwrap());
@@ -376,14 +358,18 @@ mod tests {
         graph.add_edge(2, 0, 0.0).unwrap();
 
         let with_prior = NoiseCorrected::default().score(&graph).unwrap();
-        let zero_edge = with_prior.get(graph.edge_index(2, 0).unwrap()).unwrap();
+        let zero_edge = with_prior
+            .get(&graph, graph.edge_index(2, 0).unwrap())
+            .unwrap();
         assert!(
             zero_edge.std_dev.unwrap() > 0.0,
             "posterior variance must not degenerate"
         );
 
         let without_prior = NoiseCorrected::without_prior().score(&graph).unwrap();
-        let zero_edge_plugin = without_prior.get(graph.edge_index(2, 0).unwrap()).unwrap();
+        let zero_edge_plugin = without_prior
+            .get(&graph, graph.edge_index(2, 0).unwrap())
+            .unwrap();
         assert_eq!(
             zero_edge_plugin.std_dev.unwrap(),
             0.0,
@@ -413,11 +399,11 @@ mod tests {
         let graph = figure3_toy();
         let nc = NoiseCorrected::default();
         let scored = nc.score(&graph).unwrap();
-        let top4 = scored.top_k(4);
+        let top4 = scored.top_k(&graph, 4);
         assert!(top4.contains(&graph.edge_index(1, 2).unwrap()));
         assert!(!top4.contains(&graph.edge_index(0, 1).unwrap()));
         assert!(!top4.contains(&graph.edge_index(0, 2).unwrap()));
-        let backbone = scored.backbone_top_k(&graph, 4).unwrap();
+        let backbone = graph.subgraph_with_edges(&top4).unwrap();
         assert_eq!(backbone.edge_count(), 4);
         assert!(backbone.has_edge(1, 2));
         assert_eq!(backbone.node_count(), graph.node_count());
@@ -445,10 +431,10 @@ mod tests {
         // its strength and the hub's attraction).
         let peripheral = graph.edge_index(1, 2).unwrap();
         let hub = graph.edge_index(0, 1).unwrap();
-        assert!(nc.get(peripheral).unwrap().score > nc.get(hub).unwrap().score);
+        assert!(nc.get(&graph, peripheral).unwrap().score > nc.get(&graph, hub).unwrap().score);
         assert!(
-            binomial.get(peripheral).unwrap().p_value.unwrap()
-                < binomial.get(hub).unwrap().p_value.unwrap()
+            binomial.get(&graph, peripheral).unwrap().p_value.unwrap()
+                < binomial.get(&graph, hub).unwrap().p_value.unwrap()
         );
     }
 
@@ -456,7 +442,7 @@ mod tests {
     fn binomial_variant_p_values_are_probabilities() {
         let graph = figure3_toy();
         let scored = NoiseCorrectedBinomial::new().score(&graph).unwrap();
-        for edge in scored.iter() {
+        for edge in scored.rows(&graph) {
             let p = edge.p_value.unwrap();
             assert!((0.0..=1.0).contains(&p));
             assert!((edge.score - (1.0 - p)).abs() < 1e-12);
@@ -473,8 +459,8 @@ mod tests {
         let scored = NoiseCorrected::default().score(&single).unwrap();
         assert_eq!(scored.len(), 1);
         // With a single edge the network total is tiny; the score must be finite or zero.
-        let edge = scored.iter().next().unwrap();
-        assert!(edge.score.is_finite() || edge.score == 0.0);
+        let score = scored.scores()[0];
+        assert!(score.is_finite() || score == 0.0);
     }
 
     #[test]
@@ -493,7 +479,7 @@ mod tests {
         }
         let with_prior = NoiseCorrected::default().score(&graph).unwrap();
         let without = NoiseCorrected::without_prior().score(&graph).unwrap();
-        for (a, b) in with_prior.iter().zip(without.iter()) {
+        for (a, b) in with_prior.rows(&graph).zip(without.rows(&graph)) {
             // The transformed lift does not depend on the prior at all.
             assert!((a.raw_score.unwrap() - b.raw_score.unwrap()).abs() < 1e-12);
             // The prior shrinks the posterior towards the null expectation, so

@@ -5,8 +5,10 @@
 //! [`Method`] scores the edges, which [`ThresholdPolicy`] decides how many of
 //! them survive, and how many worker threads do the scoring — behind one
 //! `run` call that produces a [`PipelineRun`]: the scored edges, the kept
-//! edge set, the backbone graph, and the run statistics (coverage, wall
-//! time). The same type drives the paper's evaluation sweeps (via
+//! edge set, and the run statistics (coverage, wall time). The backbone is a
+//! view — the kept edges of the input graph — so a run never copies the
+//! graph; its writers take the input graph and walk the kept edges. The
+//! same type drives the paper's evaluation sweeps (via
 //! [`Method::edge_set`]) and user-supplied networks (via the `backbone`
 //! binary in `crates/cli`), so the reproduction path and the serving path are
 //! the same code.
@@ -24,17 +26,16 @@
 //!     .run(&graph)
 //!     .unwrap();
 //! assert_eq!(run.kept.len(), 3);
-//! assert_eq!(run.backbone.node_count(), graph.node_count());
+//! assert!(run.nodes_covered <= graph.node_count());
 //! assert!(run.summary_json().contains("\"method\": \"nc\""));
 //! ```
 
-use std::collections::HashSet;
 use std::io::{BufWriter, Write};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use backboning_graph::io::write_edge_list;
-use backboning_graph::{GraphView, WeightedGraph};
+use backboning_graph::io::write_edges;
+use backboning_graph::{EdgeRef, GraphError, GraphView};
 
 use crate::error::{BackboneError, BackboneResult};
 use crate::json;
@@ -199,8 +200,8 @@ impl Pipeline {
         }
         match self.policy {
             ThresholdPolicy::Score(threshold) => Ok(scored.filter(threshold)),
-            ThresholdPolicy::TopK(k) => Ok(scored.top_k(k)),
-            ThresholdPolicy::TopShare(share) => scored.top_share(share),
+            ThresholdPolicy::TopK(k) => Ok(scored.top_k(graph, k)),
+            ThresholdPolicy::TopShare(share) => scored.top_share(graph, share),
             ThresholdPolicy::Coverage(target) => coverage_prefix(graph, scored, target),
         }
     }
@@ -211,8 +212,8 @@ impl Pipeline {
         self.select(graph, &scored)
     }
 
-    /// Run the full pipeline: score, select, and build the backbone graph,
-    /// measuring wall time, per-stage time and coverage along the way.
+    /// Run the full pipeline: score and select, measuring wall time,
+    /// per-stage time and coverage along the way.
     pub fn run<G: GraphView>(&self, graph: &G) -> BackboneResult<PipelineRun> {
         let start = Instant::now();
         let scored = Arc::new(self.score(graph)?);
@@ -220,8 +221,8 @@ impl Pipeline {
     }
 
     /// Run everything *after* scoring on an already-scored edge set: apply
-    /// the threshold policy, build the backbone graph, and assemble a full
-    /// [`PipelineRun`] — without recomputing the scores.
+    /// the threshold policy and assemble a full [`PipelineRun`] — without
+    /// recomputing the scores.
     ///
     /// This is the score-once-select-many entry point: score a graph once
     /// (via [`Pipeline::score`] or a cache of [`ScoredEdges`]) and sweep any
@@ -230,7 +231,7 @@ impl Pipeline {
     /// multi-million-edge score sets. The resulting run is identical to a
     /// fresh [`Pipeline::run`] with the same method and policy — same kept
     /// set, same backbone, same summary — except for the measured wall
-    /// time, which here covers only selection and backbone construction.
+    /// time, which here covers only selection.
     /// The `backboning_server` scored-graph cache serves every threshold
     /// query after the first through this path.
     ///
@@ -268,7 +269,7 @@ impl Pipeline {
         self.assemble(graph, scored, Instant::now(), None)
     }
 
-    /// Select, build the backbone, and package the run statistics. `start`
+    /// Select, count coverage, and package the run statistics. `start`
     /// is when the caller's measured work began (before scoring for `run`,
     /// after it for `run_with_scores`); `score` is the already-measured
     /// scoring time, `None` when the scores were supplied by the caller.
@@ -281,33 +282,21 @@ impl Pipeline {
     ) -> BackboneResult<PipelineRun> {
         let select_start = Instant::now();
         let kept = self.select(graph, &scored)?;
+        let (nodes_covered, coverage) = coverage(graph, &kept)?;
         let select = select_start.elapsed();
-        let build_start = Instant::now();
-        let backbone = graph.subgraph_with_edges(&kept)?;
-        let build = build_start.elapsed();
         let elapsed = start.elapsed();
-        let original_connected = graph.non_isolated_node_count();
-        let coverage = if original_connected == 0 {
-            1.0
-        } else {
-            backbone.non_isolated_node_count() as f64 / original_connected as f64
-        };
         Ok(PipelineRun {
             method: self.method,
             policy: self.policy,
             threads: backboning_parallel::resolve_threads(self.threads),
             original_nodes: graph.node_count(),
             original_edges: graph.edge_count(),
+            nodes_covered,
             coverage,
             elapsed,
-            stages: StageTimings {
-                score,
-                select,
-                build,
-            },
+            stages: StageTimings { score, select },
             scored,
             kept,
-            backbone,
         })
     }
 }
@@ -315,19 +304,46 @@ impl Pipeline {
 /// Per-stage wall times of one pipeline run, as measured by
 /// [`Pipeline::run`] / [`Pipeline::run_with_scores`].
 ///
-/// The stages are the three calls the pipeline makes: [`Pipeline::score`],
-/// [`Pipeline::select`], and the backbone subgraph construction. Their sum
-/// is slightly below [`PipelineRun::elapsed`] (the difference is the
+/// The stages are the two calls the pipeline makes: [`Pipeline::score`] and
+/// [`Pipeline::select`] (with the coverage count of the kept edges). Their
+/// sum is slightly below [`PipelineRun::elapsed`] (the difference is the
 /// bookkeeping between stages).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StageTimings {
     /// Time spent scoring the edges; `None` when the run reused
     /// already-computed scores ([`Pipeline::run_with_scores`]).
     pub score: Option<Duration>,
-    /// Time spent applying the threshold policy to the scored edges.
+    /// Time spent applying the threshold policy to the scored edges and
+    /// counting the nodes they cover.
     pub select: Duration,
-    /// Time spent building the backbone subgraph from the kept edges.
-    pub build: Duration,
+}
+
+/// Mark `edge`'s endpoints in the node bitmap `seen`; returns how many of
+/// them were not marked yet.
+fn cover(seen: &mut [bool], edge: EdgeRef) -> usize {
+    [edge.source, edge.target]
+        .into_iter()
+        .filter(|&node| !std::mem::replace(&mut seen[node], true))
+        .count()
+}
+
+/// The node coverage of the backbone made of `graph`'s `kept` edges, as
+/// `(nodes_covered, coverage)`: the number of nodes with at least one kept
+/// edge, and their share of `graph`'s non-isolated nodes (1 when `graph`
+/// has none). Counted with one node bitmap; no subgraph is built.
+pub fn coverage<G: GraphView>(graph: &G, kept: &[usize]) -> BackboneResult<(usize, f64)> {
+    let mut seen = vec![false; graph.node_count()];
+    let mut covered = 0;
+    for &index in kept {
+        covered += cover(&mut seen, graph.try_edge(index)?);
+    }
+    let original_connected = graph.non_isolated_node_count();
+    let share = if original_connected == 0 {
+        1.0
+    } else {
+        covered as f64 / original_connected as f64
+    };
+    Ok((covered, share))
 }
 
 /// The smallest score-ranked prefix of edges whose node coverage reaches
@@ -347,20 +363,13 @@ fn coverage_prefix<G: GraphView>(
     if target == 0.0 || original_connected == 0 {
         return Ok(Vec::new());
     }
-    let order = scored.top_k(scored.len());
-    let mut covered = vec![false; graph.node_count()];
-    let mut covered_count = 0usize;
+    let mut seen = vec![false; graph.node_count()];
+    let mut covered = 0;
     let mut kept = Vec::new();
-    for edge_index in order {
-        let edge = graph.edge(edge_index).expect("scored edge index in range");
+    for edge_index in scored.top_k(graph, scored.len()) {
+        covered += cover(&mut seen, graph.try_edge(edge_index)?);
         kept.push(edge_index);
-        for node in [edge.source, edge.target] {
-            if !covered[node] {
-                covered[node] = true;
-                covered_count += 1;
-            }
-        }
-        if covered_count as f64 / original_connected as f64 >= target - 1e-12 {
+        if covered as f64 / original_connected as f64 >= target - 1e-12 {
             return Ok(kept);
         }
     }
@@ -369,8 +378,9 @@ fn coverage_prefix<G: GraphView>(
     Ok(kept)
 }
 
-/// The result of one [`Pipeline::run`]: scores, kept edges, backbone graph
-/// and run statistics.
+/// The result of one [`Pipeline::run`]: scores, kept edges and run
+/// statistics. The backbone is the kept edges of the input graph (full node
+/// set); the writers take that graph and walk [`PipelineRun::kept`].
 #[derive(Debug, Clone)]
 pub struct PipelineRun {
     /// The method that scored the edges.
@@ -383,20 +393,20 @@ pub struct PipelineRun {
     pub original_nodes: usize,
     /// Edge count of the input graph.
     pub original_edges: usize,
+    /// Number of nodes with at least one kept edge.
+    pub nodes_covered: usize,
     /// Node coverage of the backbone (share of originally non-isolated nodes
     /// keeping at least one edge).
     pub coverage: f64,
-    /// Wall time of scoring + selection + backbone construction.
+    /// Wall time of scoring + selection.
     pub elapsed: Duration,
-    /// Per-stage breakdown of `elapsed` (score / select / build).
+    /// Per-stage breakdown of `elapsed` (score / select).
     pub stages: StageTimings,
     /// Every edge with its method-specific significance score (shared, so a
     /// cached selection never copies the score vector).
     pub scored: Arc<ScoredEdges>,
-    /// Indices (into the input graph) of the kept edges.
+    /// Indices (into the input graph) of the kept edges, in selection order.
     pub kept: Vec<usize>,
-    /// The backbone graph (full node set, kept edges only).
-    pub backbone: WeightedGraph,
 }
 
 impl PipelineRun {
@@ -409,52 +419,62 @@ impl PipelineRun {
         }
     }
 
-    /// Write the backbone as a tab-separated edge list
-    /// (`source<TAB>target<TAB>weight`, one header comment line).
-    pub fn write_backbone<W: Write>(&self, writer: W) -> BackboneResult<()> {
-        Ok(write_edge_list(&self.backbone, writer)?)
+    /// Write the backbone — `graph`'s kept edges, in [`PipelineRun::kept`]
+    /// order — as a tab-separated edge list (`source<TAB>target<TAB>weight`,
+    /// one header comment line). `graph` must be the graph the run
+    /// selected from.
+    pub fn write_backbone<G: GraphView, W: Write>(
+        &self,
+        graph: &G,
+        writer: W,
+    ) -> BackboneResult<()> {
+        Ok(write_edges(graph, self.kept.iter().copied(), writer)?)
     }
 
     /// Write the full scored-edge table as tab-separated text: one row per
-    /// original edge with its weight, significance score, the method-specific
-    /// optional columns (raw score, standard deviation, p-value; `NA` when
-    /// the method does not define them) and whether the edge was kept.
-    pub fn write_scores<W: Write>(&self, writer: W) -> BackboneResult<()> {
+    /// edge of `graph` (the graph the run selected from) with its weight,
+    /// significance score, the method-specific optional columns (raw score,
+    /// standard deviation, p-value; `NA` when the method does not define
+    /// them) and whether the edge was kept.
+    pub fn write_scores<G: GraphView, W: Write>(&self, graph: &G, writer: W) -> BackboneResult<()> {
         let mut writer = BufWriter::new(writer);
-        let kept: HashSet<usize> = self.kept.iter().copied().collect();
+        let kept = self.kept_mask();
         let fmt_opt = |value: Option<f64>| match value {
             Some(v) => format!("{v}"),
             None => "NA".to_string(),
         };
-        let io_err = |e: std::io::Error| backboning_graph::GraphError::from(e);
+        let io_err = |e: std::io::Error| GraphError::from(e);
         writeln!(
             writer,
             "# source\ttarget\tweight\tscore\traw_score\tstd_dev\tp_value\tkept"
         )
         .map_err(io_err)?;
-        for edge in self.scored.iter() {
-            let label = |node| {
-                self.backbone
-                    .label(node)
-                    .map(str::to_string)
-                    .unwrap_or_else(|| node.to_string())
-            };
+        for edge in self.scored.rows(graph) {
             writeln!(
                 writer,
                 "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-                label(edge.source),
-                label(edge.target),
+                graph.node_name(edge.source),
+                graph.node_name(edge.target),
                 edge.weight,
                 edge.score,
                 fmt_opt(edge.raw_score),
                 fmt_opt(edge.std_dev),
                 fmt_opt(edge.p_value),
-                u8::from(kept.contains(&edge.edge_index)),
+                u8::from(kept[edge.edge_index]),
             )
             .map_err(io_err)?;
         }
         writer.flush().map_err(io_err)?;
         Ok(())
+    }
+
+    /// Whether each edge of the input graph was kept, by edge id.
+    pub fn kept_mask(&self) -> Vec<bool> {
+        let mut mask = vec![false; self.original_edges];
+        for &index in &self.kept {
+            mask[index] = true;
+        }
+        mask
     }
 
     /// The run summary as a JSON object: method, policy, thread count,
@@ -488,7 +508,7 @@ impl PipelineRun {
             .usize("edges", self.original_edges);
         let mut backbone = json::JsonObject::inline();
         backbone
-            .usize("nodes_covered", self.backbone.non_isolated_node_count())
+            .usize("nodes_covered", self.nodes_covered)
             .usize("edges", self.kept.len())
             .f64_fixed("edge_share", self.edge_share(), 6)
             .f64_fixed("coverage", self.coverage, 6);
@@ -512,9 +532,7 @@ impl PipelineRun {
             if let Some(score) = self.stages.score {
                 stages.f64_fixed("score", score.as_secs_f64() * 1e3, 3);
             }
-            stages
-                .f64_fixed("select", self.stages.select.as_secs_f64() * 1e3, 3)
-                .f64_fixed("build", self.stages.build.as_secs_f64() * 1e3, 3);
+            stages.f64_fixed("select", self.stages.select.as_secs_f64() * 1e3, 3);
             summary.raw("stage_ms", &stages.finish());
         }
         summary.finish()
@@ -547,8 +565,7 @@ mod tests {
             .run(&graph)
             .unwrap();
         assert_eq!(run.kept, vec![0, 1]);
-        assert_eq!(run.backbone.edge_count(), 2);
-        assert_eq!(run.backbone.node_count(), graph.node_count());
+        assert_eq!(run.nodes_covered, 3);
     }
 
     #[test]
@@ -597,10 +614,7 @@ mod tests {
     #[test]
     fn parameter_free_methods_ignore_size_policies() {
         let graph = complete_graph(8, 2.0).unwrap();
-        let fixed = Method::MaximumSpanningTree
-            .fixed_edge_set(&graph)
-            .unwrap()
-            .unwrap();
+        let fixed = crate::MaximumSpanningTree::new().fixed_edge_set(&graph);
         for policy in [
             ThresholdPolicy::TopK(1),
             ThresholdPolicy::TopShare(0.1),
@@ -632,12 +646,12 @@ mod tests {
         assert!((run.edge_share() - 0.5).abs() < 1e-12);
 
         let mut backbone_out = Vec::new();
-        run.write_backbone(&mut backbone_out).unwrap();
+        run.write_backbone(&graph, &mut backbone_out).unwrap();
         let text = String::from_utf8(backbone_out).unwrap();
         assert_eq!(text.lines().count(), 1 + run.kept.len());
 
         let mut scores_out = Vec::new();
-        run.write_scores(&mut scores_out).unwrap();
+        run.write_scores(&graph, &mut scores_out).unwrap();
         let table = String::from_utf8(scores_out).unwrap();
         assert_eq!(table.lines().count(), 1 + graph.edge_count());
         assert!(table.contains("a\tb"));
@@ -696,14 +710,14 @@ mod tests {
         let json = full.summary_json();
         assert!(json.contains("\"stage_ms\": { \"score\": "));
         assert!(json.contains("\"select\": "));
-        assert!(json.contains("\"build\": "));
+        assert!(!json.contains("\"build\": "));
         // The stable summary carries no timing at all.
         let stable = full.summary_json_stable();
         assert!(!stable.contains("stage_ms"));
         assert!(!stable.contains("wall_ms"));
 
         // Reusing scores drops the score stage from both the struct and the
-        // summary, but keeps select/build.
+        // summary, but keeps select.
         let cached = pipeline
             .run_with_scores(&graph, Arc::clone(&full.scored))
             .unwrap();

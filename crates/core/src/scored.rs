@@ -19,7 +19,7 @@
 //! compare methods at equal backbone sizes in the coverage, quality and
 //! stability experiments.
 
-use backboning_graph::{GraphView, NodeId, WeightedGraph};
+use backboning_graph::{EdgeRef, GraphView, NodeId, WeightedGraph};
 
 use crate::error::{BackboneError, BackboneResult};
 
@@ -49,7 +49,8 @@ impl Symmetrization {
     }
 }
 
-/// A single scored edge.
+/// One scored edge by value: a row of [`ScoredEdges`] joined with the
+/// edge it scores (see [`ScoredEdges::get`] and [`ScoredEdges::rows`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScoredEdge {
     /// Dense index of the edge in the original graph.
@@ -71,22 +72,61 @@ pub struct ScoredEdge {
     pub p_value: Option<f64>,
 }
 
-/// The scored edges of a graph under one backboning method.
+/// The scores of a graph's edges under one backboning method, stored as
+/// columns indexed by dense edge id.
+///
+/// Only the scores are stored: an edge's endpoints and weight stay in the
+/// graph that was scored, and callers read them from there by edge id. The
+/// optional columns exist only for the methods that set them — the
+/// transformed lift and its standard deviation for NC, the p-value for NCB
+/// and DF.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScoredEdges {
     method: &'static str,
-    node_count: usize,
-    edges: Vec<ScoredEdge>,
+    pub(crate) node_count: usize,
+    pub(crate) scores: Vec<f64>,
+    pub(crate) raw_scores: Option<Vec<f64>>,
+    pub(crate) std_devs: Option<Vec<f64>>,
+    pub(crate) p_values: Option<Vec<f64>>,
 }
 
 impl ScoredEdges {
-    /// Create a scored-edge set. Intended for use by backbone implementations.
-    pub fn new(method: &'static str, node_count: usize, edges: Vec<ScoredEdge>) -> Self {
+    /// Create a score set from the score column (position `i` scores edge
+    /// `i`). Intended for use by backbone implementations.
+    pub fn new(method: &'static str, node_count: usize, scores: Vec<f64>) -> Self {
         ScoredEdges {
             method,
             node_count,
-            edges,
+            scores,
+            raw_scores: None,
+            std_devs: None,
+            p_values: None,
         }
+    }
+
+    /// Attach the raw-score and standard-deviation columns (NC).
+    pub(crate) fn with_lift(mut self, raw_scores: Vec<f64>, std_devs: Vec<f64>) -> Self {
+        self.raw_scores = Some(raw_scores);
+        self.std_devs = Some(std_devs);
+        self
+    }
+
+    /// Attach the p-value column (NCB, DF).
+    pub(crate) fn with_p_values(mut self, p_values: Vec<f64>) -> Self {
+        self.p_values = Some(p_values);
+        self
+    }
+
+    /// Every stored column, the score column first.
+    pub(crate) fn columns_mut(&mut self) -> impl Iterator<Item = &mut Vec<f64>> {
+        [
+            Some(&mut self.scores),
+            self.raw_scores.as_mut(),
+            self.std_devs.as_mut(),
+            self.p_values.as_mut(),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// Name of the method that produced the scores.
@@ -101,63 +141,57 @@ impl ScoredEdges {
 
     /// Number of scored edges (equals the original graph's edge count).
     pub fn len(&self) -> usize {
-        self.edges.len()
+        self.scores.len()
     }
 
     /// Whether there are no scored edges.
     pub fn is_empty(&self) -> bool {
-        self.edges.is_empty()
-    }
-
-    /// Iterate over the scored edges in original edge order.
-    pub fn iter(&self) -> impl Iterator<Item = &ScoredEdge> {
-        self.edges.iter()
-    }
-
-    /// Take the scored edges out, consuming the set — the zero-copy entry
-    /// point of the in-place delta rescore.
-    pub fn into_edges(self) -> Vec<ScoredEdge> {
-        self.edges
-    }
-
-    /// The scored edge for a given original edge index, if present.
-    pub fn get(&self, edge_index: usize) -> Option<&ScoredEdge> {
-        self.edges.iter().find(|e| e.edge_index == edge_index)
+        self.scores.is_empty()
     }
 
     /// All scores, in original edge order.
-    pub fn scores(&self) -> Vec<f64> {
-        self.edges.iter().map(|e| e.score).collect()
+    pub fn scores(&self) -> &[f64] {
+        &self.scores
+    }
+
+    fn row(&self, edge: EdgeRef) -> ScoredEdge {
+        let i = edge.index;
+        ScoredEdge {
+            edge_index: i,
+            source: edge.source,
+            target: edge.target,
+            weight: edge.weight,
+            score: self.scores[i],
+            raw_score: self.raw_scores.as_ref().map(|column| column[i]),
+            std_dev: self.std_devs.as_ref().map(|column| column[i]),
+            p_value: self.p_values.as_ref().map(|column| column[i]),
+        }
+    }
+
+    /// The row of edge `edge_index` of `graph` (the scored graph), if both
+    /// have it.
+    pub fn get<G: GraphView>(&self, graph: &G, edge_index: usize) -> Option<ScoredEdge> {
+        let edge = graph.edge(edge_index).filter(|_| edge_index < self.len())?;
+        Some(self.row(edge))
+    }
+
+    /// Every row, in original edge order, joined with the edges of `graph`
+    /// (the scored graph).
+    pub fn rows<'a, G: GraphView>(&'a self, graph: &'a G) -> impl Iterator<Item = ScoredEdge> + 'a {
+        graph.edges().take(self.len()).map(|edge| self.row(edge))
     }
 
     /// Indices (into the original graph) of edges whose score is at least
     /// `threshold`.
     pub fn filter(&self, threshold: f64) -> Vec<usize> {
-        self.edges
-            .iter()
-            .filter(|e| e.score >= threshold)
-            .map(|e| e.edge_index)
+        (0..self.scores.len())
+            .filter(|&i| self.scores[i] >= threshold)
             .collect()
     }
 
-    /// The ranking order: descending score, ties broken by descending weight,
-    /// then by ascending edge index for determinism.
-    fn rank_order(&self, a: usize, b: usize) -> std::cmp::Ordering {
-        let ea = &self.edges[a];
-        let eb = &self.edges[b];
-        eb.score
-            .partial_cmp(&ea.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                eb.weight
-                    .partial_cmp(&ea.weight)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| ea.edge_index.cmp(&eb.edge_index))
-    }
-
-    /// Indices of the `k` highest scoring edges, in ranking order (descending
-    /// score, ties broken by descending weight, then by edge index).
+    /// Indices of the `k` highest scoring edges of `graph` (the scored
+    /// graph), in ranking order (descending score, ties broken by descending
+    /// weight, then by edge index).
     ///
     /// # Tie-break and determinism contract
     ///
@@ -169,26 +203,37 @@ impl ScoredEdges {
     /// function of the scores: independent of thread count, selection
     /// algorithm, and call order. Equal-score, equal-weight edges are kept in
     /// original edge order — the contract the evaluation sweeps and the
-    /// `Pipeline` golden tests rely on.
+    /// `Pipeline` golden tests rely on. Weights are read from `graph` only on
+    /// score ties.
     ///
     /// Uses `select_nth_unstable_by` partial selection — `O(E)` to isolate the
     /// top `k`, plus `O(k log k)` to order them — instead of a full
     /// `O(E log E)` sort. The returned set and order are exactly those of a
     /// full sort, because the tie-break comparator is a total order.
-    pub fn top_k(&self, k: usize) -> Vec<usize> {
-        if k == 0 || self.edges.is_empty() {
+    pub fn top_k<G: GraphView>(&self, graph: &G, k: usize) -> Vec<usize> {
+        let scores = &self.scores;
+        let weight = |i: usize| graph.edge(i).expect("scored edge index in range").weight;
+        let rank_order = |&a: &usize, &b: &usize| {
+            scores[b]
+                .partial_cmp(&scores[a])
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| {
+                    weight(b)
+                        .partial_cmp(&weight(a))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                })
+                .then_with(|| a.cmp(&b))
+        };
+        if k == 0 || scores.is_empty() {
             return Vec::new();
         }
-        let mut order: Vec<usize> = (0..self.edges.len()).collect();
+        let mut order: Vec<usize> = (0..scores.len()).collect();
         if k < order.len() {
-            order.select_nth_unstable_by(k - 1, |&a, &b| self.rank_order(a, b));
+            order.select_nth_unstable_by(k - 1, rank_order);
             order.truncate(k);
         }
-        order.sort_unstable_by(|&a, &b| self.rank_order(a, b));
+        order.sort_unstable_by(rank_order);
         order
-            .into_iter()
-            .map(|i| self.edges[i].edge_index)
-            .collect()
     }
 
     /// Indices of the top `share` (in `[0, 1]`) of edges by score.
@@ -198,65 +243,29 @@ impl ScoredEdges {
     /// tie-break contract of [`ScoredEdges::top_k`]: the result is the same
     /// set, in the same ranking order, on every run and at every thread
     /// count.
-    pub fn top_share(&self, share: f64) -> BackboneResult<Vec<usize>> {
+    pub fn top_share<G: GraphView>(&self, graph: &G, share: f64) -> BackboneResult<Vec<usize>> {
         if !(0.0..=1.0).contains(&share) {
             return Err(BackboneError::InvalidParameter {
                 parameter: "share",
                 message: format!("must lie in [0, 1], got {share}"),
             });
         }
-        let k = (share * self.edges.len() as f64).round() as usize;
-        Ok(self.top_k(k))
+        let k = (share * self.scores.len() as f64).round() as usize;
+        Ok(self.top_k(graph, k))
     }
 
     /// The score threshold that keeps exactly the top `k` edges (the k-th
     /// highest score), or `None` when `k` is zero or exceeds the edge count.
     pub fn threshold_for_count(&self, k: usize) -> Option<f64> {
-        if k == 0 || k > self.edges.len() {
+        if k == 0 || k > self.scores.len() {
             return None;
         }
-        let mut scores = self.scores();
+        let mut scores = self.scores.clone();
         // Partial selection: only the k-th highest score is needed.
         let (_, kth, _) = scores.select_nth_unstable_by(k - 1, |a, b| {
             b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal)
         });
         Some(*kth)
-    }
-
-    /// Build the backbone graph containing edges with score at least `threshold`.
-    pub fn backbone<G: GraphView>(
-        &self,
-        graph: &G,
-        threshold: f64,
-    ) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.filter(threshold))?)
-    }
-
-    /// Build the backbone graph containing the `k` highest scoring edges.
-    pub fn backbone_top_k<G: GraphView>(
-        &self,
-        graph: &G,
-        k: usize,
-    ) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.top_k(k))?)
-    }
-
-    /// Build the backbone graph containing the top `share` of edges by score.
-    pub fn backbone_top_share<G: GraphView>(
-        &self,
-        graph: &G,
-        share: f64,
-    ) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.top_share(share)?)?)
-    }
-}
-
-impl<'a> IntoIterator for &'a ScoredEdges {
-    type Item = &'a ScoredEdge;
-    type IntoIter = std::slice::Iter<'a, ScoredEdge>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.edges.iter()
     }
 }
 
@@ -267,17 +276,6 @@ pub trait BackboneExtractor {
 
     /// Score every edge of the graph.
     fn score(&self, graph: &WeightedGraph) -> BackboneResult<ScoredEdges>;
-
-    /// Convenience: score the graph and keep edges with score at least
-    /// `threshold`.
-    fn extract(&self, graph: &WeightedGraph, threshold: f64) -> BackboneResult<WeightedGraph> {
-        self.score(graph)?.backbone(graph, threshold)
-    }
-
-    /// Convenience: score the graph and keep the `k` highest scoring edges.
-    fn extract_top_k(&self, graph: &WeightedGraph, k: usize) -> BackboneResult<WeightedGraph> {
-        self.score(graph)?.backbone_top_k(graph, k)
-    }
 }
 
 #[cfg(test)]
@@ -292,33 +290,27 @@ mod tests {
             vec![(0, 1, 10.0), (1, 2, 5.0), (2, 3, 1.0), (3, 0, 7.0)],
         )
         .unwrap();
-        let edges = graph
-            .edges()
-            .map(|e| ScoredEdge {
-                edge_index: e.index,
-                source: e.source,
-                target: e.target,
-                weight: e.weight,
-                score: e.weight / 10.0,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        let scored = ScoredEdges::new("test", graph.node_count(), edges);
+        let scores = graph.edges().map(|e| e.weight / 10.0).collect();
+        let scored = ScoredEdges::new("test", graph.node_count(), scores);
         (graph, scored)
     }
 
     #[test]
     fn basic_accessors() {
-        let (_, scored) = sample_scores();
+        let (graph, scored) = sample_scores();
         assert_eq!(scored.method(), "test");
         assert_eq!(scored.len(), 4);
         assert!(!scored.is_empty());
         assert_eq!(scored.node_count(), 4);
-        assert_eq!(scored.scores(), vec![1.0, 0.5, 0.1, 0.7]);
-        assert!(scored.get(2).is_some());
-        assert!(scored.get(9).is_none());
+        assert_eq!(scored.scores(), &[1.0, 0.5, 0.1, 0.7]);
+        let row = scored.get(&graph, 2).unwrap();
+        assert_eq!((row.edge_index, row.source, row.target), (2, 2, 3));
+        assert_eq!((row.weight, row.score), (1.0, 0.1));
+        assert_eq!(
+            (row.raw_score, row.std_dev, row.p_value),
+            (None, None, None)
+        );
+        assert!(scored.get(&graph, 9).is_none());
     }
 
     #[test]
@@ -331,19 +323,19 @@ mod tests {
 
     #[test]
     fn top_k_is_sorted_by_score() {
-        let (_, scored) = sample_scores();
-        assert_eq!(scored.top_k(2), vec![0, 3]);
-        assert_eq!(scored.top_k(0), Vec::<usize>::new());
-        assert_eq!(scored.top_k(10).len(), 4);
+        let (graph, scored) = sample_scores();
+        assert_eq!(scored.top_k(&graph, 2), vec![0, 3]);
+        assert_eq!(scored.top_k(&graph, 0), Vec::<usize>::new());
+        assert_eq!(scored.top_k(&graph, 10).len(), 4);
     }
 
     #[test]
     fn top_share_selects_fraction() {
-        let (_, scored) = sample_scores();
-        assert_eq!(scored.top_share(0.5).unwrap(), vec![0, 3]);
-        assert_eq!(scored.top_share(1.0).unwrap().len(), 4);
-        assert!(scored.top_share(0.0).unwrap().is_empty());
-        assert!(scored.top_share(1.5).is_err());
+        let (graph, scored) = sample_scores();
+        assert_eq!(scored.top_share(&graph, 0.5).unwrap(), vec![0, 3]);
+        assert_eq!(scored.top_share(&graph, 1.0).unwrap().len(), 4);
+        assert!(scored.top_share(&graph, 0.0).unwrap().is_empty());
+        assert!(scored.top_share(&graph, 1.5).is_err());
     }
 
     #[test]
@@ -358,15 +350,17 @@ mod tests {
     #[test]
     fn backbone_graphs_preserve_node_set() {
         let (graph, scored) = sample_scores();
-        let backbone = scored.backbone(&graph, 0.6).unwrap();
+        let backbone = graph.subgraph_with_edges(&scored.filter(0.6)).unwrap();
         assert_eq!(backbone.node_count(), 4);
         assert_eq!(backbone.edge_count(), 2);
 
-        let top = scored.backbone_top_k(&graph, 1).unwrap();
+        let top = graph.subgraph_with_edges(&scored.top_k(&graph, 1)).unwrap();
         assert_eq!(top.edge_count(), 1);
         assert!(top.has_edge(0, 1));
 
-        let share = scored.backbone_top_share(&graph, 0.75).unwrap();
+        let share = graph
+            .subgraph_with_edges(&scored.top_share(&graph, 0.75).unwrap())
+            .unwrap();
         assert_eq!(share.edge_count(), 3);
     }
 
@@ -378,21 +372,16 @@ mod tests {
             vec![(0, 1, 5.0), (1, 2, 5.0), (2, 0, 5.0)],
         )
         .unwrap();
-        let edges: Vec<ScoredEdge> = graph
-            .edges()
-            .map(|e| ScoredEdge {
-                edge_index: e.index,
-                source: e.source,
-                target: e.target,
-                weight: e.weight,
-                score: 1.0,
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
-        let scored = ScoredEdges::new("tied", 3, edges);
-        assert_eq!(scored.top_k(2), vec![0, 1]);
+        let scored = ScoredEdges::new("tied", 3, vec![1.0; 3]);
+        assert_eq!(scored.top_k(&graph, 2), vec![0, 1]);
+        // Equal scores fall back to descending weight.
+        let heavier_last = WeightedGraph::from_edges(
+            Direction::Directed,
+            3,
+            vec![(0, 1, 5.0), (1, 2, 5.0), (2, 0, 6.0)],
+        )
+        .unwrap();
+        assert_eq!(scored.top_k(&heavier_last, 2), vec![2, 0]);
     }
 
     #[test]
@@ -405,8 +394,18 @@ mod tests {
 
     #[test]
     fn into_iterator_yields_all_edges() {
-        let (_, scored) = sample_scores();
-        let count = (&scored).into_iter().count();
-        assert_eq!(count, 4);
+        let (graph, scored) = sample_scores();
+        let scored = scored
+            .with_lift(vec![0.0; 4], vec![1.0; 4])
+            .with_p_values(vec![0.5; 4]);
+        let rows: Vec<ScoredEdge> = scored.rows(&graph).collect();
+        assert_eq!(rows.len(), 4);
+        assert_eq!(Some(rows[3]), scored.get(&graph, 3));
+        let row = rows[3];
+        assert_eq!((row.source, row.target, row.weight), (3, 0, 7.0));
+        assert_eq!(
+            (row.raw_score, row.std_dev, row.p_value),
+            (Some(0.0), Some(1.0), Some(0.5))
+        );
     }
 }

@@ -10,7 +10,7 @@ use backboning_graph::algorithms::spanning_tree::maximum_spanning_tree;
 use backboning_graph::{GraphView, WeightedGraph};
 
 use crate::error::BackboneResult;
-use crate::scored::{BackboneExtractor, ScoredEdge, ScoredEdges};
+use crate::scored::{BackboneExtractor, ScoredEdges};
 
 /// The Maximum Spanning Tree backbone extractor.
 ///
@@ -31,11 +31,6 @@ impl MaximumSpanningTree {
         maximum_spanning_tree(graph)
     }
 
-    /// Convenience: build the spanning-forest backbone graph.
-    pub fn extract_fixed<G: GraphView>(&self, graph: &G) -> BackboneResult<WeightedGraph> {
-        Ok(graph.subgraph_with_edges(&self.fixed_edge_set(graph))?)
-    }
-
     /// Score every edge of any graph representation (tree edges score 1, the
     /// rest 0); `_threads` is accepted for registry uniformity (Kruskal is
     /// inherently sequential).
@@ -44,25 +39,14 @@ impl MaximumSpanningTree {
         graph: &G,
         _threads: usize,
     ) -> BackboneResult<ScoredEdges> {
-        let tree: std::collections::HashSet<usize> =
-            maximum_spanning_tree(graph).into_iter().collect();
-        let scored = graph
-            .edges()
-            .map(|edge| ScoredEdge {
-                edge_index: edge.index,
-                source: edge.source,
-                target: edge.target,
-                weight: edge.weight,
-                score: if tree.contains(&edge.index) { 1.0 } else { 0.0 },
-                raw_score: None,
-                std_dev: None,
-                p_value: None,
-            })
-            .collect();
+        let mut scores = vec![0.0; graph.edge_count()];
+        for index in maximum_spanning_tree(graph) {
+            scores[index] = 1.0;
+        }
         Ok(ScoredEdges::new(
             BackboneExtractor::name(self),
             graph.node_count(),
-            scored,
+            scores,
         ))
     }
 }
@@ -102,7 +86,8 @@ mod tests {
     #[test]
     fn backbone_preserves_connectivity_and_coverage() {
         let graph = complete_graph(10, 1.0).unwrap();
-        let backbone = MaximumSpanningTree::new().extract_fixed(&graph).unwrap();
+        let tree = MaximumSpanningTree::new().fixed_edge_set(&graph);
+        let backbone = graph.subgraph_with_edges(&tree).unwrap();
         assert_eq!(backbone.node_count(), 10);
         assert_eq!(backbone.edge_count(), 9);
         assert!(is_connected(&backbone));
@@ -117,7 +102,8 @@ mod tests {
             vec![(0, 1, 1.0), (1, 2, 2.0), (3, 4, 1.0), (4, 5, 2.0)],
         )
         .unwrap();
-        let backbone = MaximumSpanningTree::new().extract_fixed(&graph).unwrap();
+        let forest = MaximumSpanningTree::new().fixed_edge_set(&graph);
+        let backbone = graph.subgraph_with_edges(&forest).unwrap();
         assert_eq!(component_count(&backbone), 2);
         assert_eq!(backbone.edge_count(), 4);
     }

@@ -110,7 +110,7 @@ fn every_extractor_scores_degenerate_graphs_without_panicking() {
                 "{}/{name}: every edge must be scored exactly once",
                 extractor.name()
             );
-            for edge in scored.iter() {
+            for edge in scored.rows(&graph) {
                 assert!(
                     !edge.score.is_nan(),
                     "{}/{name}: NaN score on edge {} ({} -> {}, w={})",
@@ -122,13 +122,13 @@ fn every_extractor_scores_degenerate_graphs_without_panicking() {
                 );
             }
             // Selection helpers must tolerate k larger than the edge count.
-            let all = scored.top_k(graph.edge_count() + 10);
+            let all = scored.top_k(&graph, graph.edge_count() + 10);
             assert!(
                 all.len() <= graph.edge_count(),
                 "{}/{name}",
                 extractor.name()
             );
-            let none = scored.top_k(0);
+            let none = scored.top_k(&graph, 0);
             assert!(none.is_empty(), "{}/{name}", extractor.name());
         }
     }
@@ -147,7 +147,7 @@ fn nc_scores_zero_weight_edges_with_positive_variance() {
     let zero_index = graph.add_edge(2, 0, 0.0).unwrap();
 
     let scored = NoiseCorrected::default().score(&graph).unwrap();
-    let zero_edge = scored.get(zero_index).unwrap();
+    let zero_edge = scored.get(&graph, zero_index).unwrap();
     assert!(zero_edge.score.is_finite());
     assert!(
         zero_edge.std_dev.unwrap() > 0.0,
@@ -165,7 +165,7 @@ fn nc_gives_zero_score_to_edges_from_zero_strength_nodes() {
     let dead_index = graph.add_edge(2, 0, 0.0).unwrap();
 
     let scored = NoiseCorrected::default().score(&graph).unwrap();
-    let dead_edge = scored.get(dead_index).unwrap();
+    let dead_edge = scored.get(&graph, dead_index).unwrap();
     assert_eq!(dead_edge.score, 0.0);
     assert!(!dead_edge.score.is_nan());
 }
@@ -178,10 +178,9 @@ fn single_edge_graph_survives_the_whole_pipeline() {
 
         let scored = NoiseCorrected::default().score(&graph).unwrap();
         assert_eq!(scored.len(), 1);
-        let edge = scored.iter().next().unwrap();
-        assert!(!edge.score.is_nan());
+        assert!(!scored.scores()[0].is_nan());
 
-        let backbone = scored.backbone_top_k(&graph, 1).unwrap();
+        let backbone = graph.subgraph_with_edges(&scored.top_k(&graph, 1)).unwrap();
         assert_eq!(backbone.edge_count(), 1);
         assert_eq!(backbone.node_count(), 2);
     }

@@ -123,9 +123,10 @@ fn hss_approx_bound_holds_on_stochastic_block() {
             "hss-approx on sb substrate changes at {threads} threads"
         );
         let max_deviation = exact
+            .scores()
             .iter()
-            .zip(sampled.iter())
-            .map(|(exact_edge, sampled_edge)| (exact_edge.score - sampled_edge.score).abs())
+            .zip(sampled.scores())
+            .map(|(exact_score, sampled_score)| (exact_score - sampled_score).abs())
             .fold(0.0f64, f64::max);
         assert!(
             max_deviation <= bound,

@@ -136,8 +136,8 @@ proptest! {
             .unwrap();
         prop_assert_eq!(sampled.len(), exact.len());
         // The extractor names differ on purpose; the scores must not.
-        for (a, b) in exact.iter().zip(sampled.iter()) {
-            prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+        for (a, b) in exact.scores().iter().zip(sampled.scores()) {
+            prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -239,8 +239,8 @@ fn hss_parity_on_unit_weight_graphs() {
         let sampled = hss
             .score_sampled_with_threads(&graph, graph.node_count(), 4242, threads)
             .unwrap();
-        for (a, b) in reference.iter().zip(sampled.iter()) {
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        for (a, b) in reference.scores().iter().zip(sampled.scores()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 }

@@ -1,12 +1,15 @@
 //! Thread-parity property tests for the [`backboning::Pipeline`], extending
 //! the `parallel_parity` harness to the full score → select → backbone flow:
 //! the kept edge set must be **bit-identical** at 1, 2 and 4 worker threads
-//! for every method and every threshold policy.
+//! for every method and every threshold policy. A run's backbone is a view
+//! over the input graph, so the view's bytes and coverage are also pinned
+//! against the materialised subgraph of the kept edges.
 
 use proptest::prelude::*;
 
 use backboning::{Method, Pipeline, ThresholdPolicy};
-use backboning_graph::{Direction, WeightedGraph};
+use backboning_graph::io::write_edge_list;
+use backboning_graph::{CsrGraph, Direction, WeightedGraph};
 
 /// Strategy: a small random weighted graph of either direction, possibly with
 /// accumulated duplicate edges, isolated nodes and weak weights (the same
@@ -97,8 +100,60 @@ proptest! {
             let second = Pipeline::new(method, policy).run(&graph).unwrap();
             prop_assert_eq!(&first.scored, &second.scored);
             prop_assert_eq!(&first.kept, &second.kept);
-            prop_assert_eq!(first.backbone.edge_count(), second.backbone.edge_count());
+            prop_assert_eq!(first.nodes_covered, second.nodes_covered);
             prop_assert!((first.coverage - second.coverage).abs() < 1e-15);
         }
     }
+
+    /// The kept-edge view writes exactly the bytes of the materialised
+    /// backbone, for directed and undirected, labeled and unlabeled graphs
+    /// with self-loops, under every method and policy; its node coverage is
+    /// the subgraph's non-isolated node count; and every score row carries
+    /// its edge's endpoints and weight.
+    #[test]
+    fn backbone_view_matches_the_materialised_subgraph(graph in view_graph()) {
+        for method in Method::every() {
+            for policy in policies() {
+                let Ok(run) = Pipeline::new(method, policy).with_threads(1).run(&graph) else {
+                    // Only DS may fail (no feasible scaling).
+                    prop_assert!(method == Method::DoublyStochastic);
+                    continue;
+                };
+                let mut view = Vec::new();
+                run.write_backbone(&graph, &mut view).unwrap();
+                let subgraph = graph.subgraph_with_edges(&run.kept).unwrap();
+                let mut materialised = Vec::new();
+                write_edge_list(&subgraph, &mut materialised).unwrap();
+                prop_assert!(view == materialised, "{} × {}: view bytes differ", method, policy);
+                prop_assert_eq!(run.nodes_covered, subgraph.non_isolated_node_count());
+                for (i, row) in run.scored.rows(&graph).enumerate() {
+                    let edge = graph.edge(i).unwrap();
+                    prop_assert_eq!((row.edge_index, row.source, row.target), (i, edge.source, edge.target));
+                    prop_assert_eq!(row.weight.to_bits(), edge.weight.to_bits());
+                }
+            }
+        }
+    }
+}
+
+/// Strategy: a small compact graph of either direction, labeled or
+/// unlabeled, with self-loops allowed.
+fn view_graph() -> impl Strategy<Value = CsrGraph> {
+    (
+        proptest::collection::vec(((0usize..10), (0usize..10), 0.05f64..50.0), 1..50),
+        0usize..2,
+        0usize..2,
+    )
+        .prop_map(|(edges, directed, labeled)| {
+            let direction = [Direction::Directed, Direction::Undirected][directed];
+            let graph = if labeled == 1 {
+                let triples = edges
+                    .into_iter()
+                    .map(|(s, t, w)| (format!("n{s}"), format!("n{t}"), w));
+                WeightedGraph::from_labeled_edges(direction, triples).unwrap()
+            } else {
+                WeightedGraph::from_edges(direction, 10, edges).unwrap()
+            };
+            CsrGraph::from_graph(&graph).unwrap()
+        })
 }

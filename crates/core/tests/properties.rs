@@ -46,7 +46,7 @@ proptest! {
     #[test]
     fn top_k_returns_exactly_k_when_available(graph in small_graph(), k in 0usize..60) {
         let scored = NoiseCorrected::default().score(&graph).unwrap();
-        let kept = scored.top_k(k);
+        let kept = scored.top_k(&graph, k);
         prop_assert_eq!(kept.len(), k.min(graph.edge_count()));
         // And every returned index refers to a real edge, with no duplicates.
         let unique: std::collections::HashSet<usize> = kept.iter().copied().collect();

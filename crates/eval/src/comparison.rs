@@ -93,9 +93,11 @@ pub struct ComparisonConfig {
     /// Base seed of the noise Monte Carlo; resample `i` derives its own
     /// generator from `(seed, i)`, so results are reproducible.
     pub seed: u64,
-    /// Worker threads for scoring and for the noise trials (`0` = automatic,
-    /// honouring `BACKBONING_THREADS`). Results are bit-identical at any
-    /// setting.
+    /// Worker threads for scoring and for the noise trials. For scoring,
+    /// `0` means automatic (honouring `BACKBONING_THREADS`); the noise trials
+    /// go through [`par_map`], which treats `0` as `1`, so with `0` they run
+    /// one after another on the calling thread. Results are bit-identical
+    /// at any setting.
     pub threads: usize,
 }
 

@@ -148,15 +148,15 @@ pub fn run(data: &OccupationData, edge_share: f64) -> CaseStudyResult {
     let nc_scored = NoiseCorrected::default()
         .score(full)
         .expect("NC scores the co-occurrence network");
-    let nc_backbone = nc_scored
-        .backbone_top_k(full, target_edges)
+    let nc_backbone = full
+        .subgraph_with_edges(&nc_scored.top_k(full, target_edges))
         .expect("NC backbone extraction");
 
     let df_scored = DisparityFilter::new()
         .score(full)
         .expect("DF scores the co-occurrence network");
-    let df_backbone = df_scored
-        .backbone_top_k(full, target_edges)
+    let df_backbone = full
+        .subgraph_with_edges(&df_scored.top_k(full, target_edges))
         .expect("DF backbone extraction");
 
     let entries = vec![

@@ -72,7 +72,7 @@ pub fn run(
     let mut distributions = Vec::with_capacity(deltas.len());
     for &delta in deltas {
         let shifted: Vec<f64> = scored
-            .iter()
+            .rows(graph)
             .map(|edge| edge.raw_score.unwrap_or(0.0) - delta * edge.std_dev.unwrap_or(0.0))
             .collect();
         let accepted = shifted.iter().filter(|&&s| s > 0.0).count();

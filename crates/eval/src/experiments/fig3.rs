@@ -67,8 +67,8 @@ pub fn run() -> ToyExampleResult {
     let mut df_scores = Vec::new();
     for edge in graph.edges() {
         edges.push((edge.source, edge.target, edge.weight));
-        nc_scores.push(nc.get(edge.index).expect("scored").score);
-        df_scores.push(df.get(edge.index).expect("scored").score);
+        nc_scores.push(nc.scores()[edge.index]);
+        df_scores.push(df.scores()[edge.index]);
     }
     ToyExampleResult {
         edges,

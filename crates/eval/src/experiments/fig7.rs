@@ -127,12 +127,7 @@ pub fn run_with_threads(
                             .ok()
                     })
                 };
-                let value = edge_set.and_then(|edges| {
-                    graph
-                        .subgraph_with_edges(&edges)
-                        .ok()
-                        .map(|backbone| coverage(graph, &backbone))
-                });
+                let value = edge_set.map(|edges| coverage(graph, &edges));
                 row.push(value);
             }
             points.push(CoveragePoint {

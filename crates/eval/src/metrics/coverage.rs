@@ -1,29 +1,25 @@
 //! Coverage: the Topology criterion (Figure 7).
 
-use backboning_graph::WeightedGraph;
+use backboning_graph::GraphView;
 
-/// Coverage of a backbone: the share of the original network's non-isolated
-/// nodes that keep at least one edge in the backbone,
+/// Coverage of the backbone made of `original`'s `kept` edges: the share of
+/// the original network's non-isolated nodes that keep at least one edge in
+/// the backbone,
 ///
 /// ```text
 /// Coverage = (|V| − |I_backbone|) / (|V| − |I_original|)
 /// ```
 ///
 /// Returns 1 for an original network without any non-isolated node (nothing
-/// can be lost).
-pub fn coverage(original: &WeightedGraph, backbone: &WeightedGraph) -> f64 {
-    assert_eq!(
-        original.node_count(),
-        backbone.node_count(),
-        "backbone must preserve the node set ({} vs {})",
-        original.node_count(),
-        backbone.node_count()
-    );
-    let original_connected = original.non_isolated_node_count();
-    if original_connected == 0 {
-        return 1.0;
-    }
-    backbone.non_isolated_node_count() as f64 / original_connected as f64
+/// can be lost). Counted with one node bitmap; no subgraph is built.
+///
+/// # Panics
+///
+/// When a kept edge id is not an edge of `original`.
+pub fn coverage<G: GraphView>(original: &G, kept: &[usize]) -> f64 {
+    backboning::pipeline::coverage(original, kept)
+        .expect("kept edges must belong to the original network")
+        .1
 }
 
 #[cfg(test)]
@@ -42,43 +38,35 @@ mod tests {
 
     #[test]
     fn full_backbone_has_full_coverage() {
-        let graph = original();
-        assert_eq!(coverage(&graph, &graph), 1.0);
+        assert_eq!(coverage(&original(), &[0, 1, 2]), 1.0);
     }
 
     #[test]
     fn dropping_a_nodes_last_edge_reduces_coverage() {
-        let graph = original();
         // Keep only edges 1 and 2: node 0 becomes isolated (3 of 4 connected nodes remain).
-        let backbone = graph.subgraph_with_edges(&[1, 2]).unwrap();
-        assert!((coverage(&graph, &backbone) - 0.75).abs() < 1e-12);
+        assert!((coverage(&original(), &[1, 2]) - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn already_isolated_nodes_do_not_count() {
-        let graph = original(); // node 4 is isolated in the original
-        let backbone = graph.subgraph_with_edges(&[0]).unwrap(); // keeps nodes 0 and 1
-        assert!((coverage(&graph, &backbone) - 0.5).abs() < 1e-12);
+        // Node 4 is isolated in the original; edge 0 keeps nodes 0 and 1.
+        assert!((coverage(&original(), &[0]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn empty_backbone_has_zero_coverage() {
-        let graph = original();
-        let backbone = graph.subgraph_with_edges(&[]).unwrap();
-        assert_eq!(coverage(&graph, &backbone), 0.0);
+        assert_eq!(coverage(&original(), &[]), 0.0);
     }
 
     #[test]
     fn edgeless_original_network() {
         let graph = WeightedGraph::with_nodes(Direction::Undirected, 3);
-        assert_eq!(coverage(&graph, &graph), 1.0);
+        assert_eq!(coverage(&graph, &[]), 1.0);
     }
 
     #[test]
-    #[should_panic(expected = "preserve the node set")]
-    fn mismatched_node_sets_panic() {
-        let graph = original();
-        let other = WeightedGraph::with_nodes(Direction::Undirected, 3);
-        coverage(&graph, &other);
+    #[should_panic(expected = "belong to the original network")]
+    fn foreign_edge_ids_panic() {
+        coverage(&original(), &[7]);
     }
 }

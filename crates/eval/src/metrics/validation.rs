@@ -44,7 +44,7 @@ pub fn variance_validation_correlation(years: &[WeightedGraph]) -> StatsResult<f
             message: format!("cannot score year: {e}"),
         })?;
         let mut lift_by_pair = std::collections::HashMap::new();
-        for edge in scored.iter() {
+        for edge in scored.rows(year) {
             lift_by_pair.insert((edge.source, edge.target), edge.raw_score.unwrap_or(0.0));
         }
         yearly_lifts.push(lift_by_pair);
@@ -52,7 +52,7 @@ pub fn variance_validation_correlation(years: &[WeightedGraph]) -> StatsResult<f
 
     let mut predicted = Vec::new();
     let mut observed = Vec::new();
-    for edge in scored_first.iter() {
+    for edge in scored_first.rows(first_year) {
         let key = (edge.source, edge.target);
         // Only edges observed in every year have a meaningful sample variance.
         let lifts: Vec<f64> = yearly_lifts

@@ -356,29 +356,10 @@ impl CsrGraph {
 
     /// Build an adjacency-map graph with the same node set (and labels)
     /// containing only the edges whose dense ids are listed in
-    /// `edge_indices` — semantics identical to
-    /// [`WeightedGraph::subgraph_with_edges`]. Backbones are small, so the
-    /// mutable representation is the right output type.
+    /// `edge_indices` — the [`GraphView`] implementation shared with
+    /// [`WeightedGraph::subgraph_with_edges`].
     pub fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        let mut subgraph = WeightedGraph::new(self.direction);
-        for node in self.nodes() {
-            match self.label(node) {
-                Some(label) => {
-                    subgraph.add_labeled_node(label.to_string())?;
-                }
-                None => {
-                    subgraph.add_node();
-                }
-            }
-        }
-        for &index in edge_indices {
-            let edge = self.edge(index).ok_or(GraphError::InvalidParameter {
-                parameter: "edge_indices",
-                message: format!("edge index {index} out of bounds"),
-            })?;
-            subgraph.set_edge_weight(edge.source, edge.target, edge.weight)?;
-        }
-        Ok(subgraph)
+        GraphView::subgraph_with_edges(self, edge_indices)
     }
 
     /// Expand back into a mutable adjacency-map graph (labels preserved).
@@ -711,10 +692,6 @@ impl GraphView for CsrGraph {
 
     fn non_isolated_node_count(&self) -> usize {
         CsrGraph::non_isolated_node_count(self)
-    }
-
-    fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        CsrGraph::subgraph_with_edges(self, edge_indices)
     }
 
     fn to_csr(&self) -> GraphResult<std::borrow::Cow<'_, CsrGraph>> {

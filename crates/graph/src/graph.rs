@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 
 use crate::error::{GraphError, GraphResult};
+use crate::view::GraphView;
 
 /// Node identifier: a dense index in `0..node_count()`.
 pub type NodeId = usize;
@@ -422,39 +423,7 @@ impl WeightedGraph {
     /// Build a new graph with the same node set (and labels) containing only
     /// the edges whose dense indices are listed in `edge_indices`.
     pub fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        let mut subgraph = WeightedGraph::new(self.direction);
-        for node in self.nodes() {
-            match self.label(node) {
-                Some(label) => {
-                    subgraph.add_labeled_node(label.to_string())?;
-                }
-                None => {
-                    subgraph.add_node();
-                }
-            }
-        }
-        for &index in edge_indices {
-            let edge = self.edges.get(index).ok_or(GraphError::InvalidParameter {
-                parameter: "edge_indices",
-                message: format!("edge index {index} out of bounds"),
-            })?;
-            subgraph.set_edge_weight(edge.source, edge.target, edge.weight)?;
-        }
-        Ok(subgraph)
-    }
-
-    /// Build a new graph with the same node set keeping only edges for which
-    /// the predicate returns `true`.
-    pub fn filter_edges<F>(&self, mut keep: F) -> GraphResult<WeightedGraph>
-    where
-        F: FnMut(EdgeRef) -> bool,
-    {
-        let kept: Vec<usize> = self
-            .edges()
-            .filter(|&edge| keep(edge))
-            .map(|edge| edge.index)
-            .collect();
-        self.subgraph_with_edges(&kept)
+        GraphView::subgraph_with_edges(self, edge_indices)
     }
 
     /// Convenience constructor: build a graph from `(source_label, target_label, weight)`
@@ -667,7 +636,12 @@ mod tests {
         let mut g = WeightedGraph::with_nodes(Direction::Directed, 3);
         g.add_edge(0, 1, 1.0).unwrap();
         g.add_edge(1, 2, 5.0).unwrap();
-        let filtered = g.filter_edges(|e| e.weight >= 2.0).unwrap();
+        let heavy: Vec<usize> = g
+            .edges()
+            .filter(|e| e.weight >= 2.0)
+            .map(|e| e.index)
+            .collect();
+        let filtered = g.subgraph_with_edges(&heavy).unwrap();
         assert_eq!(filtered.edge_count(), 1);
         assert!(filtered.has_edge(1, 2));
     }

@@ -254,18 +254,30 @@ pub fn read_edge_list_csr_file(
 /// Accepts either representation through [`GraphView`]. Nodes without labels
 /// are written as their numeric id.
 pub fn write_edge_list<G: GraphView, W: Write>(graph: &G, writer: W) -> GraphResult<()> {
+    write_edges(graph, 0..graph.edge_count(), writer)
+}
+
+/// Write only the edges of `graph` whose dense ids are listed, in the listed
+/// order, in the [`write_edge_list`] format.
+///
+/// For distinct ids the bytes equal those of [`write_edge_list`] over
+/// `graph.subgraph_with_edges(edge_ids)`, without building the subgraph.
+pub fn write_edges<G: GraphView, W: Write>(
+    graph: &G,
+    edge_ids: impl IntoIterator<Item = usize>,
+    writer: W,
+) -> GraphResult<()> {
     let mut writer = BufWriter::new(writer);
     writeln!(writer, "# source\ttarget\tweight")?;
-    for edge in graph.edges() {
-        let source = graph
-            .label(edge.source)
-            .map(str::to_string)
-            .unwrap_or_else(|| edge.source.to_string());
-        let target = graph
-            .label(edge.target)
-            .map(str::to_string)
-            .unwrap_or_else(|| edge.target.to_string());
-        writeln!(writer, "{source}\t{target}\t{}", edge.weight)?;
+    for index in edge_ids {
+        let edge = graph.try_edge(index)?;
+        writeln!(
+            writer,
+            "{}\t{}\t{}",
+            graph.node_name(edge.source),
+            graph.node_name(edge.target),
+            edge.weight
+        )?;
     }
     writer.flush()?;
     Ok(())

@@ -2,23 +2,24 @@
 //!
 //! Every backboning method consumes a graph through the same narrow,
 //! edge-id-ordered surface: the edge list in dense-id order, per-node
-//! degrees, direction semantics and a way to materialize a backbone
-//! subgraph. [`GraphView`] captures exactly that surface, so the scoring and
+//! degrees and direction semantics. [`GraphView`] captures exactly that
+//! surface (and materializes subgraphs from it), so the scoring and
 //! selection pipeline is written once and monomorphizes over both the
 //! mutable adjacency-map [`WeightedGraph`] (builder/compat shim) and the
 //! compact [`CsrGraph`] core — with *identical* floating-point evaluation
 //! order, which is what makes the two paths bit-identical (pinned by the
 //! parity suite).
 //!
-//! Backbone outputs are always a [`WeightedGraph`]: a backbone is small by
-//! construction, so the mutable, label-preserving representation is the
-//! right type regardless of what the input was.
+//! A materialized subgraph is always a [`WeightedGraph`], the mutable,
+//! label-preserving representation, regardless of what the input was.
+//! The pipeline itself never builds one: its backbone is the kept edge ids
+//! of the input graph.
 
 use std::borrow::Cow;
 use std::ops::Range;
 
 use crate::csr::CsrGraph;
-use crate::error::GraphResult;
+use crate::error::{GraphError, GraphResult};
 use crate::graph::{Direction, EdgeRef, NodeId, WeightedGraph};
 
 /// Read-only access to a weighted graph in dense edge-id order.
@@ -67,11 +68,43 @@ pub trait GraphView {
 
     /// Materialize the subgraph keeping only the listed dense edge ids,
     /// with the full node set and labels preserved.
-    fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph>;
+    fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
+        let mut subgraph = WeightedGraph::new(self.direction());
+        for node in self.nodes() {
+            match self.label(node) {
+                Some(label) => subgraph.add_labeled_node(label.to_string())?,
+                None => subgraph.add_node(),
+            };
+        }
+        for &index in edge_indices {
+            let edge = self.try_edge(index)?;
+            subgraph.set_edge_weight(edge.source, edge.target, edge.weight)?;
+        }
+        Ok(subgraph)
+    }
 
     /// The compact CSR form of this graph — borrowed when the graph already
     /// is one, built on the fly otherwise.
     fn to_csr(&self) -> GraphResult<Cow<'_, CsrGraph>>;
+
+    /// The edge with dense id `index`, or an error naming the id when it is
+    /// out of range.
+    fn try_edge(&self, index: usize) -> GraphResult<EdgeRef> {
+        self.edge(index)
+            .ok_or_else(|| GraphError::InvalidParameter {
+                parameter: "edge_indices",
+                message: format!("edge index {index} out of bounds"),
+            })
+    }
+
+    /// How edge lists name `node`: its label, or its numeric id when it
+    /// has none.
+    fn node_name(&self, node: NodeId) -> Cow<'_, str> {
+        match self.label(node) {
+            Some(label) => Cow::Borrowed(label),
+            None => Cow::Owned(node.to_string()),
+        }
+    }
 
     /// Whether the graph is directed.
     fn is_directed(&self) -> bool {
@@ -157,10 +190,6 @@ impl GraphView for WeightedGraph {
 
     fn non_isolated_node_count(&self) -> usize {
         WeightedGraph::non_isolated_node_count(self)
-    }
-
-    fn subgraph_with_edges(&self, edge_indices: &[usize]) -> GraphResult<WeightedGraph> {
-        WeightedGraph::subgraph_with_edges(self, edge_indices)
     }
 
     fn to_csr(&self) -> GraphResult<Cow<'_, CsrGraph>> {

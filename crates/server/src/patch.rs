@@ -59,10 +59,16 @@ impl Value {
     }
 }
 
+/// The deepest array/object nesting the reader accepts. A delta body needs
+/// three levels (document → `ops` array → op object); the bound keeps a
+/// body of nested brackets from recursing the worker's stack away.
+const MAX_DEPTH: usize = 16;
+
 /// A minimal recursive-descent JSON reader over the body bytes.
 struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -70,6 +76,7 @@ impl<'a> Reader<'a> {
         Reader {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -104,8 +111,11 @@ impl<'a> Reader<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")))
+            }
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::Text(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool),
             Some(b'f') => self.literal("false", Value::Bool),
@@ -114,6 +124,13 @@ impl<'a> Reader<'a> {
             Some(c) => Err(self.error(&format!("unexpected character `{}`", c as char))),
             None => Err(self.error("unexpected end of input")),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, text: &str, value: Value) -> Result<Value, String> {
@@ -430,6 +447,19 @@ mod tests {
         }
         let err = parse_json_delta(r#"{"ops": [{"op": "add",]}"#).unwrap_err();
         assert!(err.contains("at byte"), "{err}");
+    }
+
+    #[test]
+    fn deep_nesting_is_rejected_not_recursed() {
+        // Far under the body size limit, far over any stack the recursive
+        // reader could afford.
+        let err = parse_json_delta(&"{\"ops\": [".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than 16 levels"), "{err}");
+        // Nesting up to the bound still parses (and fails on the schema).
+        let deep_ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse_json_delta(&deep_ok)
+            .unwrap_err()
+            .contains("top-level object"));
     }
 
     #[test]

@@ -873,6 +873,12 @@ fn patch_route_rejects_bad_deltas() {
     let (status, body) = patch(&server, "/graphs/delta", bad_json, Some("application/json"));
     assert_eq!(status, 400);
     assert!(text(&body).contains("op 1"), "{}", text(&body));
+    // 200 000 nested brackets (200 KB, far inside the body limit) are a
+    // 400 too, not a stack overflow that takes the process down.
+    let nested = "[".repeat(200_000);
+    let (status, body) = patch(&server, "/graphs/delta", &nested, Some("application/json"));
+    assert_eq!(status, 400);
+    assert!(text(&body).contains("nesting deeper"), "{}", text(&body));
     // Empty batches are rejected, not silently committed.
     let (status, body) = patch(&server, "/graphs/delta", "# nothing\n", None);
     assert_eq!(status, 400);
@@ -899,7 +905,10 @@ fn patch_route_rejects_bad_deltas() {
     assert!(error.contains("\"what\": \"nodes\""), "{error}");
     assert!(error.contains("\"requested\": 4294967296"), "{error}");
     let (status, _) = get(&server, "/health");
-    assert_eq!(status, 200, "server survives capacity rejections");
+    assert_eq!(
+        status, 200,
+        "server survives nesting and capacity rejections"
+    );
     server.shutdown();
 }
 

@@ -37,10 +37,7 @@ fn main() {
             ]);
             continue;
         };
-        let backbone = year0
-            .subgraph_with_edges(&edges)
-            .expect("valid edge indices");
-        let coverage_value = coverage(year0, &backbone);
+        let coverage_value = coverage(year0, &edges);
         let quality_value = quality_ratio(&data, kind, year0, &edges).unwrap_or(f64::NAN);
         let stability_value = stability(&edges, year0, year1).unwrap_or(f64::NAN);
         table.add_row(vec![

@@ -30,15 +30,14 @@ fn main() {
 
     // Extract NC and DF backbones of equal size and inspect them.
     let target = data.co_occurrence.edge_count() / 7;
-    let nc_backbone = NoiseCorrected::default()
-        .score(&data.co_occurrence)
-        .expect("NC scoring")
-        .backbone_top_k(&data.co_occurrence, target)
+    let full = &data.co_occurrence;
+    let nc_scored = NoiseCorrected::default().score(full).expect("NC scoring");
+    let nc_backbone = full
+        .subgraph_with_edges(&nc_scored.top_k(full, target))
         .expect("NC backbone");
-    let df_backbone = DisparityFilter::new()
-        .score(&data.co_occurrence)
-        .expect("DF scoring")
-        .backbone_top_k(&data.co_occurrence, target)
+    let df_scored = DisparityFilter::new().score(full).expect("DF scoring");
+    let df_backbone = full
+        .subgraph_with_edges(&df_scored.top_k(full, target))
         .expect("DF backbone");
 
     for (label, backbone) in [

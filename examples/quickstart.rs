@@ -33,7 +33,7 @@ fn main() {
     let nc = NoiseCorrected::default();
     let scored = nc.score(&graph).expect("NC scores any weighted graph");
     println!("\nedge scores (standard deviations above the expectation):");
-    for edge in scored.iter() {
+    for edge in scored.rows(&graph) {
         println!(
             "  {:>5} - {:<5}  weight {:>5.1}   score {:>7.2}",
             graph.label(edge.source).unwrap_or("?"),
@@ -43,8 +43,8 @@ fn main() {
         );
     }
 
-    let backbone = scored
-        .backbone(&graph, DELTA_P05)
+    let backbone = graph
+        .subgraph_with_edges(&scored.filter(DELTA_P05))
         .expect("threshold filtering");
     println!(
         "\nNoise-Corrected backbone at delta = {DELTA_P05}: {} of {} edges kept",
@@ -60,10 +60,11 @@ fn main() {
     }
 
     // Compare with the Disparity Filter at the same backbone size.
-    let df_backbone = DisparityFilter::new()
+    let df_scored = DisparityFilter::new()
         .score(&graph)
-        .expect("DF scores any weighted graph")
-        .backbone_top_k(&graph, backbone.edge_count())
+        .expect("DF scores any weighted graph");
+    let df_backbone = graph
+        .subgraph_with_edges(&df_scored.top_k(&graph, backbone.edge_count()))
         .expect("top-k filtering");
     println!("\nDisparity Filter backbone of the same size keeps:");
     for edge in df_backbone.edges() {

@@ -101,7 +101,7 @@ proptest! {
         for extractor in &extractors {
             let scored = extractor.score(&graph).unwrap();
             prop_assert_eq!(scored.len(), graph.edge_count());
-            let kept = scored.top_k(graph.edge_count() / 2);
+            let kept = scored.top_k(&graph, graph.edge_count() / 2);
             prop_assert!(kept.len() <= graph.edge_count());
             for index in kept {
                 prop_assert!(graph.edge(index).is_some());

@@ -49,10 +49,12 @@ fn every_method_scores_the_toy_graph_consistently() {
         assert_eq!(scored.len(), graph.edge_count(), "{}", extractor.name());
         // Selecting every edge reproduces the original edge count; selecting the
         // top half produces a strictly smaller backbone with the same node set.
-        let all = scored.backbone_top_k(&graph, graph.edge_count()).unwrap();
+        let all = graph
+            .subgraph_with_edges(&scored.top_k(&graph, graph.edge_count()))
+            .unwrap();
         assert_eq!(all.edge_count(), graph.edge_count());
-        let half = scored
-            .backbone_top_k(&graph, graph.edge_count() / 2)
+        let half = graph
+            .subgraph_with_edges(&scored.top_k(&graph, graph.edge_count() / 2))
             .unwrap();
         assert_eq!(half.edge_count(), graph.edge_count() / 2);
         assert_eq!(half.node_count(), graph.node_count());
@@ -68,11 +70,8 @@ fn labels_survive_backbone_extraction() {
         .edge("a", "b", 10.0)
         .build()
         .unwrap();
-    let backbone = NoiseCorrected::default()
-        .score(&graph)
-        .unwrap()
-        .backbone_top_k(&graph, 2)
-        .unwrap();
+    let scored = NoiseCorrected::default().score(&graph).unwrap();
+    let backbone = graph.subgraph_with_edges(&scored.top_k(&graph, 2)).unwrap();
     assert_eq!(backbone.node_count(), graph.node_count());
     assert!(backbone.node_by_label("hub").is_some());
     assert!(backbone.node_by_label("a").is_some());
